@@ -20,6 +20,7 @@ import subprocess
 import sys
 import time
 import traceback
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,10 +32,12 @@ from gptest import basis, cli, dgp, engine, harness, nuisance, numerics, scores
 import spans
 
 MIN_LATENCY_SAMPLES = 100
-BLOCK_SAMPLES = 24  # latency calls per block, rounded up to whole cycles over the cells
+BLOCK_SAMPLES = 8  # latency calls per block, rounded up to whole cycles over the cells
 MIN_BLOCKS = 5
+TURN_SECONDS = 1.0  # measured seconds a serial loop stays on one CPU before it moves to the next
 MIN_ROUNDS = 5
-SETUP_REPEATS = 3
+SETUP_REPEATS = 5
+UNCOVERED_SHARE = 0.10  # traced time outside every layer span, at most, as a share of the total
 LAYERS = ("dgp", "nuisance", "scores", "basis", "engine", "numerics", "cli")
 ROOT_SPAN = "bench.replication"
 TIMING_COLUMN = "mean_runtime_ms"  # wall-clock column of the rates CSV, not deterministic
@@ -57,13 +60,6 @@ WORKLOADS = {
     w.name: w
     for w in (
         Workload(
-            "panel_a_crossfit",
-            "panel = A\nsample_sizes = 250, 500, 1000\n"
-            "scenarios = 0,0; 0.2,0; 0.2,0.2; 0.2,0.4\nj_star = 3\n"
-            "methods = gp_standardized, wald\nfolds = 5\nnuisance = crossfit\n",
-            round_reps=16,
-        ),
-        Workload(
             "panel_b_mixture",
             "panel = B\nsample_sizes = 3000\nscenarios = 0,0; 0.5,0.5\nj_star = 3, 5\n"
             "methods = gp_standardized, gp_unstandardized\nfolds = 5\nnuisance = crossfit\n",
@@ -73,13 +69,14 @@ WORKLOADS = {
             "panel_a_oracle",
             "panel = A\nsample_sizes = 1000\nscenarios = 0,0; 0.2,0\nj_star = 3, 5\n"
             "methods = gp_standardized, wald\nnuisance = oracle\n",
-            round_reps=128,
+            round_reps=512,
         ),
         Workload("cli_test_csv"),
     )
 }
 
 CLI_ROWS = 20_000
+CLI_INPUTS = 10  # call seeds of the closed loop, each called again every cycle
 CLI_CONFIG = (
     "score = mean_exchangeability\narm = 0\nvariant = gp_unstandardized\n"
     "basis_family = legendre\nj_star = 5\ncombination = additive\nalpha = 0.05\nfolds = 5\n"
@@ -151,22 +148,14 @@ def workers():
 
 
 def _git_sha(root):
-    head = root / ".git" / "HEAD"
-    if not head.is_file():
-        return "unknown (not a git checkout)"
-    ref = head.read_text().strip()
-    if not ref.startswith("ref: "):
-        return ref
-    name = ref[5:]
-    loose = root / ".git" / name
-    if loose.is_file():
-        return loose.read_text().strip()
-    packed = root / ".git" / "packed-refs"
-    if packed.is_file():
-        for line in packed.read_text().splitlines():
-            if line.endswith(" " + name):
-                return line.split()[0]
-    return "unknown"
+    if not (root / ".git").exists():  # not a git checkout; source_sha256 identifies the code
+        return "unknown"
+    try:
+        proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True,
+                              text=True, timeout=30, check=True)
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    return proc.stdout.strip()
 
 
 def _source_sha256(root):
@@ -208,7 +197,7 @@ def _blas_threads():
     return None
 
 
-def manifest(root, blas_mode):
+def manifest(root):
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "git_sha": _git_sha(root),
@@ -220,7 +209,6 @@ def manifest(root, blas_mode):
         "usable_cpus": len(os.sched_getaffinity(0)),
         "cpu_model": _cpu_model(),
         "blas": f"{blas.get('name')} {blas.get('version')}",
-        "blas_mode": blas_mode,
         "blas_threads": _blas_threads(),
         "blas_env": {var: os.environ.get(var) for var in
                      ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
@@ -330,18 +318,19 @@ def compose_replication(cfg, cell, rep, tracer):
                 oracle = dgp.oracle_nuisances_panel_b(dgp_cfg)
     kind = scores.MEAN_EXCHANGEABILITY if cfg.panel == "A" else scores.IV_COMPATIBILITY
     score = scores.ScoreSpec(kind=kind, arm=0, nuisance_mode=cfg.nuisance_mode, oracle=oracle)
-    rng = numerics.RngStream(seed).spawn(1)
+    with span("numerics.rng_stream"):
+        rng = numerics.RngStream(seed).spawn(1)
     with span("nuisance.crossfit"):
         g = nuisance.crossfit(data, score, cfg.K, rng).pseudo_outcomes
     with span("dgp.covariates"):
         x = data.covariate_matrix(score.covariates)
     if method == engine.WALD_PROJECTION:
-        features = np.column_stack([np.ones(x.shape[0]), x])
         with span("engine.wald"):
+            features = np.column_stack([np.ones(x.shape[0]), x])
             return engine.wald_projection_test(features, g, alpha=cfg.alpha)
-    spec = basis.BasisSpec(family=cfg.basis_family, j_star=j_star, combination=cfg.combination,
-                           ranges=((-1.0, 1.0), (-1.0, 1.0)))
     with span("basis.build_design"):
+        spec = basis.BasisSpec(family=cfg.basis_family, j_star=j_star, combination=cfg.combination,
+                               ranges=((-1.0, 1.0), (-1.0, 1.0)))
         design = basis.build_design(x, spec)
     tracer.counts["basis.columns"] += design.J
     test = engine.gp_test_standardized if method == engine.GP_STANDARDIZED else engine.gp_test_unstandardized
@@ -406,20 +395,41 @@ def _direct_run(out_dir, call_seed):
     )
 
 
-def check_cli_outputs(checks, out_dir, outputs, call_seeds):
-    codes_ok = all(code == 0 for code, _ in outputs)
-    checks.record("cli_exit_code_zero", codes_ok, f"exit codes {sorted({c for c, _ in outputs})}")
-    p_values = []
-    for code, text in outputs:
-        try:
-            p_values.append(json.loads(text)["p_value"] if code == 0 else None)
-        except (ValueError, KeyError):
-            p_values.append(None)
-    checks.record("p_values_finite_in_unit_interval", all(p_value_ok(p) for p in p_values),
-                  f"{[p for p in p_values if not p_value_ok(p)][:5]}")
-    direct = cli_direct_p_value(out_dir, call_seeds[0])
-    checks.record("cli_p_value_equals_run_gp_test", p_values[0] == direct,
-                  f"cli {p_values[0]!r} vs run_gp_test {direct!r}")
+class CliOutcomes:
+    """Exit codes and p-values of cli.main calls, tallied call by call."""
+
+    def __init__(self):
+        self.codes = Counter()
+        self.bad_p_values = 0
+        self.bad_examples = []
+        self.p_by_seed = {}
+        self.repeat_mismatches = 0
+
+    def add(self, call_seed, out):
+        """Tally one cli_call result, or None if it raised; returns its p-value or None.
+
+        A call seed seen before must give the p-value it gave the first time.
+        """
+        code, text = out if out is not None else (None, "")
+        self.codes[code] += 1
+        p = None
+        if code == 0:
+            with contextlib.suppress(ValueError, KeyError):
+                p = json.loads(text)["p_value"]
+        if not p_value_ok(p):
+            self.bad_p_values += 1
+            if len(self.bad_examples) < 5:
+                self.bad_examples.append(p)
+        if self.p_by_seed.setdefault(call_seed, p) != p:
+            self.repeat_mismatches += 1
+        return p
+
+    def check(self, checks):
+        checks.record("cli_exit_code_zero", set(self.codes) == {0}, f"exit codes {dict(self.codes)}")
+        checks.record("p_values_finite_in_unit_interval", self.bad_p_values == 0,
+                      f"{self.bad_p_values} bad, e.g. {self.bad_examples}")
+        checks.record("cli_repeated_calls_agree", self.repeat_mismatches == 0,
+                      f"{self.repeat_mismatches} repeated calls changed their p-value")
 
 
 # ---------------------------------------------------------------------------
@@ -455,54 +465,87 @@ def setup_once(wl, root, out_dir, seed, index, tally):
 #
 # Other processes on a shared machine slow it down in spells of a few
 # seconds, by 20% and more, and load from outside only ever adds time.
-# Every end-to-end figure is therefore the best of many short blocks
-# (latency) or rounds (pool throughput): the least of the per-block times
-# and the greatest of the per-round rates.  A change to the program moves
-# every block alike.
+# Serial latency figures are therefore the best of many short blocks: the
+# least of the per-block times.  A change to the program moves every block
+# alike.  The load falls on one CPU at a time, often for minutes, so the
+# serial loop takes turns on each usable CPU.  Pool figures are medians
+# over rounds (see run_pool_workload).
 
 
 @dataclass
 class Block:
-    latencies: list  # seconds per call
+    latencies: list  # wall seconds per call
+    cpus: list  # CPU seconds per call
     wall: float
-    cpu: float
 
 
 class ClosedLoop:
     """One caller: run(prepare(i)) for i = 0, 1, ..., each call timed.
 
     Calls are grouped into blocks of whole cycles of ``cycle_len`` calls, so
-    every block holds each grid cell equally often.
+    every block holds each grid cell equally often.  Only the first cycle's
+    (argument, result) pairs are kept, so memory does not grow with the
+    number of calls.  Where ``prepare`` repeats its inputs every cycle,
+    ``best_per_input`` gives each input's least time over its repeats.
     """
 
     def __init__(self, cycle_len, prepare, run):
+        self.cycle_len = cycle_len
+        self.allowed_cpus = os.sched_getaffinity(0)
+        self.cpu = None
         self.per_block = max(1, -(-BLOCK_SAMPLES // cycle_len)) * cycle_len
         self.prepare, self.run = prepare, run
-        self.blocks, self.outputs = [], []  # outputs: (argument, result) per call
+        self.blocks, self.first_cycle = [], []
+        self.calls = 0
         self.seconds = 0.0
 
     def block(self):
-        latencies = []
-        cpu0, wall0 = cpu_seconds(), time.perf_counter()
-        for _ in range(self.per_block):
-            arg = self.prepare(len(self.outputs))
-            t0 = time.perf_counter()
-            out = self.run(arg)
-            latencies.append(time.perf_counter() - t0)
-            self.outputs.append((arg, out))
-        block = Block(latencies, time.perf_counter() - wall0, cpu_seconds() - cpu0)
+        """Run one block pinned to the CPU whose turn it is.
+
+        On a move to another CPU an untimed call first warms that CPU's caches.
+        """
+        cpus_in_turn = sorted(self.allowed_cpus)
+        cpu = cpus_in_turn[int(self.seconds / TURN_SECONDS) % len(cpus_in_turn)]
+        os.sched_setaffinity(0, {cpu})
+        try:
+            if cpu != self.cpu:
+                self.run(self.prepare(self.calls))
+                self.cpu = cpu
+            latencies, cpus = [], []
+            wall0 = time.perf_counter()
+            for _ in range(self.per_block):
+                arg = self.prepare(self.calls)
+                c0, t0 = cpu_seconds(), time.perf_counter()
+                out = self.run(arg)
+                latencies.append(time.perf_counter() - t0)
+                cpus.append(cpu_seconds() - c0)
+                if self.calls < self.cycle_len:
+                    self.first_cycle.append((arg, out))
+                self.calls += 1
+            wall = time.perf_counter() - wall0
+        finally:
+            # Pool workers inherit the affinity of the process that starts them.
+            os.sched_setaffinity(0, self.allowed_cpus)
+        block = Block(latencies, cpus, wall)
         self.blocks.append(block)
         self.seconds += block.wall
 
     @property
     def enough(self):
-        return len(self.blocks) >= MIN_BLOCKS and len(self.outputs) >= MIN_LATENCY_SAMPLES
+        return len(self.blocks) >= MIN_BLOCKS and self.calls >= MIN_LATENCY_SAMPLES
 
     def latency_metrics(self):
         def ms(q):
             return 1000.0 * min(float(np.percentile(b.latencies, q)) for b in self.blocks)
 
         return {"rep_ms_p50": (ms(50), "ms"), "rep_ms_p90": (ms(90), "ms")}
+
+    def best_per_input(self):
+        """Least wall and CPU seconds of each input; call k of the loop ran input k % cycle_len."""
+        n = self.cycle_len
+        walls = [min(t for b in self.blocks for t in b.latencies[j::n]) for j in range(n)]
+        cpus = [min(c for b in self.blocks for c in b.cpus[j::n]) for j in range(n)]
+        return walls, cpus
 
 
 def run_pool_workload(wl, seed, seconds, out_dir, tally, checks, details):
@@ -543,7 +586,7 @@ def run_pool_workload(wl, seed, seconds, out_dir, tally, checks, details):
     # The first latency cycle, composed layer by layer, must repeat the harness decisions.
     mismatches = 0
     p_values = []
-    for (cell, cfg), table in loop.outputs[:n_cells]:
+    for (cell, cfg), table in loop.first_cycle:
         result = tally.attempt(1, compose_replication, cfg, cell, 0, spans.NullTracer())
         p_values.append(result.p_value if result else None)
         if (result is None or table is None
@@ -553,10 +596,13 @@ def run_pool_workload(wl, seed, seconds, out_dir, tally, checks, details):
     checks.record("p_values_finite_in_unit_interval", all(p_value_ok(p) for p in p_values),
                   f"{[p for p in p_values if not p_value_ok(p)]}")
 
-    serial_reps_per_s = max(len(b.latencies) / sum(b.latencies) for b in loop.blocks)
-    reps_per_s = max(r for r, _ in rounds) if rounds else float("nan")
+    # Pool figures are medians over the rounds: a round needs both CPUs calm at
+    # once, so the best round is a rare event and spread nearly twice as much over
+    # seeds.  The serial rate for pool_efficiency is the median block's, to match.
+    serial_reps_per_s = statistics.median(len(b.latencies) / sum(b.latencies) for b in loop.blocks)
+    reps_per_s = statistics.median(r for r, _ in rounds) if rounds else float("nan")
     details.update(
-        latency_samples=len(loop.outputs),
+        latency_samples=loop.calls,
         latency_blocks=len(loop.blocks),
         serial_reps_per_s=serial_reps_per_s,
         pool_round_reps_per_s=[r for r, _ in rounds],
@@ -569,28 +615,36 @@ def run_pool_workload(wl, seed, seconds, out_dir, tally, checks, details):
     return {
         "reps_per_s": (reps_per_s, "1/s"),
         **loop.latency_metrics(),
-        "cpu_ms_per_rep": (1000.0 * min(c for _, c in rounds) if rounds else float("nan"), "ms"),
+        "cpu_ms_per_rep": (1000.0 * statistics.median(c for _, c in rounds) if rounds else float("nan"), "ms"),
         "pool_efficiency": (reps_per_s / (workers() * serial_reps_per_s), "ratio"),
     }
 
 
 def run_cli_workload(seed, seconds, out_dir, tally, checks, details):
-    loop = ClosedLoop(1, lambda i: derive_seed("cli", seed, i),
-                      lambda s: tally.attempt(1, cli_call, out_dir, s))
+    outcomes = CliOutcomes()
+    loop = ClosedLoop(CLI_INPUTS, lambda i: derive_seed("cli", seed, i % CLI_INPUTS),
+                      lambda s: outcomes.add(s, tally.attempt(1, cli_call, out_dir, s)))
     start = time.perf_counter()
     while not (loop.enough and time.perf_counter() - start >= seconds):
         loop.block()
-    results = [out if out is not None else (None, "") for _, out in loop.outputs]
-    tally.failed += sum(1 for code, _ in results if code not in (0, None))
-    check_cli_outputs(checks, out_dir, results, [s for s, _ in loop.outputs])
-    details.update(latency_samples=len(loop.outputs), latency_blocks=len(loop.blocks))
-    blocks = loop.blocks
+    tally.failed += sum(n for code, n in outcomes.codes.items() if code not in (0, None))
+    outcomes.check(checks)
+    first_seed, first_p = loop.first_cycle[0]
+    direct = cli_direct_p_value(out_dir, first_seed)
+    checks.record("cli_p_value_equals_run_gp_test", first_p == direct,
+                  f"cli {first_p!r} vs run_gp_test {direct!r}")
+    # Each call seed runs about 20 times; its least time is its time on a calm machine.
+    walls, cpus = loop.best_per_input()
+    details.update(latency_samples=loop.calls, latency_blocks=len(loop.blocks),
+                   best_ms_per_input=[1000.0 * w for w in walls],
+                   best_cpu_ms_per_input=[1000.0 * c for c in cpus])
     return {
-        "reps_per_s": (max(len(b.latencies) / b.wall for b in blocks), "1/s"),
-        **loop.latency_metrics(),
-        "cpu_ms_per_rep": (1000.0 * min(b.cpu / len(b.latencies) for b in blocks), "ms"),
+        "reps_per_s": (len(walls) / sum(walls), "1/s"),
+        "rep_ms_p50": (1000.0 * float(np.percentile(walls, 50)), "ms"),
+        "rep_ms_p90": (1000.0 * float(np.percentile(walls, 90)), "ms"),
+        "cpu_ms_per_rep": (1000.0 * statistics.fmean(cpus), "ms"),
         # One caller and no pool: the share of loop wall time spent inside cli.main.
-        "pool_efficiency": (max(sum(b.latencies) / b.wall for b in blocks), "ratio"),
+        "pool_efficiency": (max(sum(b.latencies) / b.wall for b in loop.blocks), "ratio"),
     }
 
 
@@ -780,6 +834,9 @@ def run_traced(wl, seed, seconds, out_dir, tally, checks, details):
     metrics, covered, rep_total = layer_metrics(tracer, untraced, traced, dispatch_ms)
     checks.record("layer_self_times_add_up", abs(covered - rep_total) <= 1e-9 * max(1.0, rep_total),
                   f"layer self times + uncovered = {covered!r}, traced replication time = {rep_total!r}")
+    uncovered, rep_ms = metrics["trace.uncovered_ms"][0], metrics["trace.rep_ms"][0]
+    checks.record("uncovered_time_small", uncovered <= UNCOVERED_SHARE * rep_ms,
+                  f"{uncovered:.4f} ms of {rep_ms:.4f} ms per replication is outside every layer span")
     details.update(traced_replications=len(traced), unwrapped=sorted(set(tracer.missing)))
     return metrics
 
@@ -816,7 +873,7 @@ def run(args, root):
     tally = Tally()
     checks = Checks()
     details = {"workload": wl.name, "seed": args.seed, "seconds": args.seconds, "trace": args.trace,
-               "manifest": manifest(root, args.blas)}
+               "manifest": manifest(root)}
 
     if args.trace:
         metrics = run_traced(wl, args.seed, args.seconds, out_dir, tally, checks, details)

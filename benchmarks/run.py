@@ -3,13 +3,12 @@
 
 Usage, from the root of a checkout:
 
-    python3 benchmarks/run.py --workload panel_a_crossfit --seed 1 --seconds 20 --trace 0
+    python3 benchmarks/run.py --workload panel_b_mixture --seed 1 --seconds 30 --trace 0
 
 ``--trace 0`` measures the end-to-end metrics with tracing off; ``--trace 1``
 makes the separate serial traced run and reports per-layer metrics.  The
 last line of standard output is one JSON object with the keys ``correct``,
-``attempted``, ``failed`` and ``metrics``.  ``--blas unpinned`` leaves the
-BLAS thread count to the library (a one-off comparison, not a workload).
+``attempted``, ``failed`` and ``metrics``.  BLAS is pinned to one thread.
 See benchmarks/README.md.
 """
 
@@ -22,7 +21,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-WORKLOAD_NAMES = ("panel_a_crossfit", "panel_b_mixture", "panel_a_oracle", "cli_test_csv")
+WORKLOAD_NAMES = ("panel_b_mixture", "panel_a_oracle", "cli_test_csv")
 
 
 def parse_args(argv):
@@ -31,7 +30,6 @@ def parse_args(argv):
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=int, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), required=True)
-    parser.add_argument("--blas", choices=("pinned", "unpinned"), default="pinned")
     args = parser.parse_args(argv)
     if args.seconds < 1:
         parser.error("--seconds must be at least 1")
@@ -43,10 +41,7 @@ def main(argv=None) -> int:
     # The thread count must be in the environment before numpy loads BLAS;
     # pool workers inherit it.
     for var in BLAS_THREAD_VARS:
-        if args.blas == "pinned":
-            os.environ[var] = "1"
-        else:
-            os.environ.pop(var, None)
+        os.environ[var] = "1"
     src = ROOT / "src"
     if not (src / "gptest" / "__init__.py").is_file():
         print(f"error: no gptest sources under {src}", file=sys.stderr)

@@ -24,16 +24,8 @@ class Tracer:
         self._stack = []
         self._restore = []
 
-    @contextlib.contextmanager
     def span(self, name):
-        idx = len(self.spans)
-        self.spans.append([name, time.perf_counter(), None, self._stack[-1] if self._stack else -1, self.rep])
-        self._stack.append(idx)
-        try:
-            yield
-        finally:
-            self._stack.pop()
-            self.spans[idx][2] = time.perf_counter()
+        return _Span(self, name)
 
     def wrap(self, module, attr, name, count=None):
         """Replace ``module.attr`` with a version that opens span ``name``.
@@ -61,6 +53,29 @@ class Tracer:
         while self._restore:
             module, attr, original = self._restore.pop()
             setattr(module, attr, original)
+
+
+class _Span:
+    """Context manager of one span; a plain class, which costs less per call than a generator."""
+
+    __slots__ = ("tracer", "record")
+
+    def __init__(self, tracer, name):
+        self.tracer = tracer
+        self.record = [name, None, None, -1, tracer.rep]
+
+    def __enter__(self):
+        tracer = self.tracer
+        if tracer._stack:
+            self.record[3] = tracer._stack[-1]
+        tracer._stack.append(len(tracer.spans))
+        tracer.spans.append(self.record)
+        self.record[1] = time.perf_counter()
+
+    def __exit__(self, *exc):
+        self.record[2] = time.perf_counter()
+        self.tracer._stack.pop()
+        return False
 
 
 class NullTracer:
