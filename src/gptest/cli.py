@@ -15,12 +15,19 @@ import numpy as np
 from . import harness
 from .basis import ADDITIVE, BasisSpec, basis_bound_diagnostics
 from .engine import GP_STANDARDIZED, METHODS, TestConfig, run_gp_test
-from .errors import GptestError, InvalidConfig, OutOfRange, SchemaError
+from .errors import (
+    GptestError,
+    InsufficientStratum,
+    InvalidConfig,
+    InvalidInput,
+    OutOfRange,
+    SchemaError,
+)
 from .dgp import read_csv
 from .numerics import RngStream
 from .scores import SCORE_KINDS, ScoreSpec
 
-_INPUT_ERRORS = (SchemaError, InvalidConfig, OutOfRange)
+_INPUT_ERRORS = (SchemaError, InvalidConfig, InvalidInput, OutOfRange, InsufficientStratum)
 
 
 def _read_text(path: str) -> str:
@@ -44,8 +51,8 @@ def _empirical_ranges(x: np.ndarray):
 def _test_config_from_kv(kv: dict, args) -> tuple[ScoreSpec, dict]:
     known = {
         "score", "arm", "variant", "basis_family", "j_star", "combination",
-        "alpha", "folds", "seed", "mc_draws", "clip_propensity",
-        "clip_denominator", "covariates", "y_col", "a_col", "s_col",
+        "alpha", "folds", "seed", "clip_propensity", "clip_denominator",
+        "covariates", "y_col", "a_col", "s_col",
         "d_col", "z1_col", "z2_col", "z_col",
     }
     unknown = set(kv) - known
@@ -78,7 +85,6 @@ def _test_config_from_kv(kv: dict, args) -> tuple[ScoreSpec, dict]:
             "alpha": float(args.alpha if args.alpha is not None else kv.get("alpha", 0.05)),
             "folds": int(kv.get("folds", 5)),
             "seed": int(args.seed if args.seed is not None else kv.get("seed", 0)),
-            "mc_draws": int(kv.get("mc_draws", 100_000)),
         }
     except ValueError as exc:
         raise InvalidConfig(f"bad config value: {exc}") from None
@@ -98,9 +104,7 @@ def cmd_test(args) -> int:
         combination=settings["combination"],
         ranges=_empirical_ranges(x),
     )
-    config = TestConfig(
-        alpha=settings["alpha"], mc_draws=settings["mc_draws"], seed=settings["seed"]
-    )
+    config = TestConfig(alpha=settings["alpha"], seed=settings["seed"])
     result = run_gp_test(
         data, spec, basis_spec, config,
         variant=settings["variant"], K=settings["folds"],

@@ -3,8 +3,9 @@ and the fixed-dimension Wald baseline.
 
 The projection statistic is S = n * a' Omega a with a the empirical
 projection of the pseudo-outcomes onto the basis.  Calibration is
-either against a Monte Carlo weighted chi-square mixture (eigenvalues
-of Sigma-hat) or by standardizing with the trace and Frobenius norm of
+either against the weighted chi-square mixture over the eigenvalues of
+Sigma-hat, whose tail is computed exactly by characteristic-function
+inversion, or by standardizing with the trace and Frobenius norm of
 Sigma-hat and comparing to the upper normal tail.
 """
 
@@ -19,7 +20,7 @@ from .basis import BasisSpec, DesignMatrix, build_design
 from .errors import DegenerateScale, InvalidInput, NotPSD
 from .dgp import Dataset
 from .nuisance import crossfit, _with_intercept
-from .numerics import RngStream, chi2_sf, normal_cdf, psd_sqrt, sym_eigen
+from .numerics import RngStream, chi2_sf, chisq_mixture_sf, normal_cdf, psd_sqrt, sym_eigen
 from .scores import ScoreSpec
 
 GP_STANDARDIZED = "gp_standardized"
@@ -33,14 +34,11 @@ METHODS = (GP_STANDARDIZED, GP_UNSTANDARDIZED, WALD_PROJECTION)
 class TestConfig:
     alpha: float = 0.05
     weighting: np.ndarray | None = None  # None means identity
-    mc_draws: int = 100_000
     seed: int = 0
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
             raise InvalidInput("alpha must lie in (0, 1)")
-        if self.mc_draws < 1:
-            raise InvalidInput("mc_draws must be positive")
 
 
 @dataclass
@@ -97,8 +95,10 @@ def _omega_or_identity(omega, J: int) -> np.ndarray:
 
 
 def statistic(a: np.ndarray, omega, n: int) -> float:
-    """S = n * a' Omega a; validates PSD-ness of the weighting."""
+    """S = n * a' Omega a; validates PSD-ness of a supplied weighting."""
     a = np.asarray(a, dtype=float)
+    if omega is None:
+        return float(n * a @ a)
     omega = _omega_or_identity(omega, a.shape[0])
     if sym_eigen(omega).values.min() < -1e-10 * max(1.0, np.linalg.norm(omega)):
         raise NotPSD("weighting matrix has a negative eigenvalue")
@@ -118,7 +118,11 @@ def sigma_hat(design: DesignMatrix, g: np.ndarray, omega=None) -> np.ndarray:
 
 
 def weighted_chisq_pvalue(taus, s: float, draws: int, rng: RngStream) -> float:
-    """Monte Carlo upper-tail probability of sum_j tau_j chi2_j(1) at s."""
+    """Monte Carlo upper-tail probability of sum_j tau_j chi2_j(1) at s.
+
+    Kept as the reference that tests check the exact tail against;
+    gp_test_unstandardized calibrates with numerics.chisq_mixture_sf.
+    """
     taus = np.asarray(taus, dtype=float)
     if draws < 10_000:
         raise InvalidInput("need at least 1e4 Monte Carlo draws")
@@ -144,14 +148,23 @@ def weighted_chisq_pvalue(taus, s: float, draws: int, rng: RngStream) -> float:
     return exceed / draws
 
 
-def gp_test_unstandardized(design: DesignMatrix, g, config: TestConfig) -> TestResult:
-    """Projection test calibrated against the weighted chi-square mixture."""
+def _statistic_and_scale(design: DesignMatrix, g, config: TestConfig):
+    """S, Sigma-hat, and its trace and Frobenius norm, shared by both GP variants."""
     a = projection_vector(design, g)
     s = statistic(a, config.weighting, design.n)
     sig = sigma_hat(design, g, config.weighting)
+    return s, sig, float(np.trace(sig)), float(np.linalg.norm(sig))
+
+
+def gp_test_unstandardized(design: DesignMatrix, g, config: TestConfig) -> TestResult:
+    """Projection test calibrated against the weighted chi-square mixture.
+
+    The p-value is the exact mixture tail over the eigenvalues of
+    Sigma-hat, so it needs no random draws.
+    """
+    s, sig, rho, gamma = _statistic_and_scale(design, g, config)
     taus = sym_eigen(sig).values
-    rng = RngStream(config.seed)
-    p = weighted_chisq_pvalue(taus, s, config.mc_draws, rng)
+    p = chisq_mixture_sf(taus, s)
     return TestResult(
         method=GP_UNSTANDARDIZED,
         statistic=s,
@@ -159,6 +172,8 @@ def gp_test_unstandardized(design: DesignMatrix, g, config: TestConfig) -> TestR
         reject=p < config.alpha,
         J=design.J,
         tau_hat=taus,
+        rho_hat=rho,
+        gamma_hat=gamma,
     )
 
 
@@ -168,15 +183,11 @@ def gp_test_standardized(design: DesignMatrix, g, config: TestConfig) -> TestRes
     T = (S - trace Sigma) / (sqrt(2) ||Sigma||_F); rejects one-sided when
     T exceeds the upper-alpha normal quantile.
     """
-    a = projection_vector(design, g)
-    s = statistic(a, config.weighting, design.n)
-    sig = sigma_hat(design, g, config.weighting)
-    rho = float(np.trace(sig))
-    gamma = float(np.linalg.norm(sig))
+    s, _, rho, gamma = _statistic_and_scale(design, g, config)
     if gamma == 0.0:
         raise DegenerateScale("Sigma-hat is identically zero")
     t = (s - rho) / (np.sqrt(2.0) * gamma)
-    p = float(1.0 - normal_cdf(t))
+    p = normal_cdf(-t)  # the upper tail without the cancellation of 1 - cdf(t)
     return TestResult(
         method=GP_STANDARDIZED,
         statistic=s,

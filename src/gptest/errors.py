@@ -13,10 +13,6 @@ class InvalidConfig(GptestError):
     pass
 
 
-class NumericalFailure(GptestError):
-    pass
-
-
 class NotPSD(GptestError):
     pass
 

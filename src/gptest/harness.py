@@ -52,7 +52,6 @@ class SimGridConfig:
     K: int = 5
     nuisance_mode: str = "crossfit"
     alpha: float = 0.05
-    mc_draws: int = 100_000
     basis_family: str = LEGENDRE
     combination: str = ADDITIVE
     u_param: str = "var"
@@ -96,7 +95,7 @@ def replication_seed(base_seed: int, panel: str, n: int, scenario, method: str,
 def _one_replication(task: tuple) -> bool:
     """Generate one dataset, run the requested test, return the decision."""
     (panel, n, scenario, method, j_star, seed, K, nuisance_mode, alpha,
-     mc_draws, basis_family, combination, u_param) = task
+     basis_family, combination, u_param) = task
     if panel == "A":
         dgp_cfg = PanelAConfig(n=n, alpha1=scenario[0], alpha2=scenario[1], seed=seed)
         data = gen_panel_a(dgp_cfg)
@@ -119,7 +118,7 @@ def _one_replication(task: tuple) -> bool:
         family=basis_family, j_star=j_star, combination=combination,
         ranges=((-1.0, 1.0), (-1.0, 1.0)),
     )
-    config = TestConfig(alpha=alpha, mc_draws=mc_draws, seed=seed)
+    config = TestConfig(alpha=alpha, seed=seed)
     rng = RngStream(seed).spawn(1)  # fold assignment stream, distinct from the DGP's
     result = run_gp_test(data, score, basis_spec, config, variant=method, K=K, rng=rng)
     return bool(result.reject)
@@ -132,8 +131,7 @@ def run_cell(cfg: SimGridConfig, n: int, scenario, method: str, j_star: int,
         (
             cfg.panel, n, scenario, method, j_star,
             replication_seed(cfg.base_seed, cfg.panel, n, scenario, method, j_star, rep),
-            cfg.K, cfg.nuisance_mode, cfg.alpha, cfg.mc_draws,
-            cfg.basis_family, cfg.combination, cfg.u_param,
+            cfg.K, cfg.nuisance_mode, cfg.alpha, cfg.basis_family, cfg.combination, cfg.u_param,
         )
         for rep in range(cfg.replications)
     ]
@@ -222,8 +220,8 @@ def sim_config_from_text(text: str, overrides: dict | None = None) -> SimGridCon
         kv.update({k: str(v) for k, v in overrides.items() if v is not None})
     known = {
         "panel", "sample_sizes", "scenarios", "j_star", "methods",
-        "replications", "seed", "folds", "nuisance", "alpha", "mc_draws",
-        "basis_family", "combination", "u_param", "threads",
+        "replications", "seed", "folds", "nuisance", "alpha", "basis_family",
+        "combination", "u_param", "threads",
     }
     unknown = set(kv) - known
     if unknown:
@@ -240,7 +238,6 @@ def sim_config_from_text(text: str, overrides: dict | None = None) -> SimGridCon
             K=int(kv.get("folds", 5)),
             nuisance_mode=kv.get("nuisance", "crossfit"),
             alpha=float(kv.get("alpha", 0.05)),
-            mc_draws=int(kv.get("mc_draws", 100_000)),
             basis_family=kv.get("basis_family", LEGENDRE),
             combination=kv.get("combination", ADDITIVE),
             u_param=kv.get("u_param", "var"),

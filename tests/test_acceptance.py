@@ -274,7 +274,7 @@ def test_criterion_11_invariance_suite(criterion_report):
     grid_kw = dict(
         panel="A", sample_sizes=(250,), scenarios=((0.0, 0.0),), j_star_list=(3,),
         methods=("gp_standardized",), replications=8, base_seed=5,
-        nuisance_mode="oracle", mc_draws=10_000,
+        nuisance_mode="oracle",
     )
     serial = [r["rejection_rate"] for r in run_grid(SimGridConfig(**grid_kw)).rows]
     parallel = [

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+
+from gptest import engine
 
 from gptest.basis import BasisSpec, DesignMatrix
 from gptest.dgp import PanelAConfig, gen_panel_a, oracle_nuisances_panel_a
@@ -17,7 +21,7 @@ from gptest.engine import (
 )
 from gptest.engine import TestConfig as EngineConfig
 from gptest.errors import DegenerateScale, InvalidInput, NotPSD
-from gptest.numerics import RngStream, chi2_sf, normal_cdf
+from gptest.numerics import RngStream, chi2_sf, chisq_mixture_sf, normal_cdf
 
 UNIT_SPEC = BasisSpec(j_star=3)
 
@@ -30,10 +34,6 @@ class TestConfigValidation:
     def test_bad_alpha(self):
         with pytest.raises(InvalidInput):
             EngineConfig(alpha=1.5)
-
-    def test_bad_draws(self):
-        with pytest.raises(InvalidInput):
-            EngineConfig(mc_draws=0)
 
 
 class TestProjectionVector:
@@ -55,6 +55,14 @@ class TestProjectionVector:
 class TestStatistic:
     def test_identity_weighting(self):
         assert statistic(np.array([3.0, 4.0]), None, 2) == pytest.approx(50.0)
+
+    def test_identity_weighting_skips_psd_check(self, monkeypatch):
+        def no_eigen(_):
+            raise AssertionError("identity weighting needs no eigendecomposition")
+
+        monkeypatch.setattr(engine, "sym_eigen", no_eigen)
+        a = np.array([0.5, -1.5, 2.0])
+        assert statistic(a, None, 7) == 7 * float(a @ a)
 
     def test_diagonal_weighting(self):
         assert statistic(np.array([1.0, 0.0]), [[2.0, 0.0], [0.0, 5.0]], 1) == pytest.approx(2.0)
@@ -158,6 +166,16 @@ class TestStandardizedVariant:
         res = gp_test_standardized(design, rng.standard_normal(200), EngineConfig())
         assert res.p_value == pytest.approx(1.0 - normal_cdf(res.t_hat), abs=1e-12)
 
+    @pytest.mark.parametrize("n, t", [(14, 9.19), (43, 29.70)])
+    def test_deep_tail_keeps_relative_accuracy(self, n, t):
+        # every B_i g_i = (1, 0): S = n, Sigma-hat = diag(1, 0), T = (n - 1) / sqrt(2)
+        design = design_from(np.column_stack([np.ones(n), np.zeros(n)]))
+        res = gp_test_standardized(design, np.ones(n), EngineConfig())
+        assert res.t_hat == pytest.approx(t, abs=0.01)
+        expected = 0.5 * math.erfc(res.t_hat / math.sqrt(2.0))
+        assert res.p_value == pytest.approx(expected, rel=1e-12)
+        assert res.p_value > 0.0
+
     def test_scale_invariance_of_t(self):
         rng = np.random.default_rng(23)
         design = design_from(rng.standard_normal((150, 3)))
@@ -178,6 +196,27 @@ class TestUnstandardizedVariant:
         design = design_from(np.ones((10, 2)))
         res = gp_test_unstandardized(design, np.zeros(10), EngineConfig())
         assert res.p_value == 1.0 and not res.reject
+
+    def test_p_is_exact_mixture_tail_without_a_seed(self):
+        rng = np.random.default_rng(24)
+        design = design_from(rng.standard_normal((120, 5)))
+        g = rng.standard_normal(120)
+        a = gp_test_unstandardized(design, g, EngineConfig(seed=1))
+        b = gp_test_unstandardized(design, g, EngineConfig(seed=2))
+        assert a.p_value == b.p_value
+        assert a.p_value == chisq_mixture_sf(a.tau_hat, a.statistic)
+
+    def test_reports_trace_and_frobenius_like_standardized(self):
+        rng = np.random.default_rng(25)
+        design = design_from(rng.standard_normal((150, 4)))
+        g = rng.standard_normal(150)
+        plain = gp_test_unstandardized(design, g, EngineConfig())
+        std = gp_test_standardized(design, g, EngineConfig())
+        assert plain.rho_hat == std.rho_hat
+        assert plain.gamma_hat == std.gamma_hat
+        assert plain.rho_hat == pytest.approx(plain.tau_hat.sum(), rel=1e-12)
+        assert plain.gamma_hat == pytest.approx(np.sqrt(np.sum(plain.tau_hat ** 2)), rel=1e-12)
+        assert {"rho_hat", "gamma_hat"} <= set(plain.to_dict())
 
     def test_taus_are_sigma_eigenvalues(self):
         rng = np.random.default_rng(24)

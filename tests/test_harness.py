@@ -103,7 +103,6 @@ def tiny_config(**kw):
         replications=4,
         base_seed=11,
         nuisance_mode="oracle",
-        mc_draws=10_000,
     )
     defaults.update(kw)
     return SimGridConfig(**defaults)
@@ -197,6 +196,24 @@ class TestCli:
         cfg.write_text("scoring_rule = brier\n")
         assert main(["test", "--data", panel_a_csv, "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("arm = 2", "arm"),
+            ("j_star = 0", "j_star"),
+            ("alpha = 2", "alpha"),
+            ("folds = 1", "K=1"),
+            ("mc_draws = 100000", "mc_draws"),
+        ],
+        ids=["arm", "j_star", "alpha", "folds", "mc_draws"],
+    )
+    def test_bad_config_value_exits_2(self, capsys, panel_a_csv, tmp_path, line, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"score = mean_exchangeability\n{line}\n")
+        assert main(["test", "--data", panel_a_csv, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
     def test_alpha_override(self, capsys, panel_a_csv, test_config_file):
         argv = ["test", "--data", panel_a_csv, "--config", test_config_file]
         main(argv)
@@ -210,7 +227,7 @@ class TestCli:
         cfg = tmp_path / "sim.cfg"
         cfg.write_text(
             "panel = A\nsample_sizes = 250\nscenarios = 0,0\n"
-            "replications = 2\nnuisance = oracle\nmc_draws = 10000\n"
+            "replications = 2\nnuisance = oracle\n"
         )
         out = tmp_path / "rates.csv"
         code = main(["simulate", "--config", str(cfg), "--out", str(out)])

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from scipy import integrate
+from scipy.special import chdtri, gammaincc, ndtr
 
+from gptest.engine import weighted_chisq_pvalue
 from gptest.errors import InvalidInput, NotPSD
 from gptest.numerics import (
     RngStream,
     chi2_sf,
-    frob_and_trace,
+    chisq_mixture_sf,
     gauss_legendre,
     normal_cdf,
     psd_sqrt,
@@ -86,29 +89,6 @@ class TestPsdSqrt:
             assert np.linalg.norm(m.T @ m - a) <= 1e-9 * max(1.0, np.linalg.norm(a))
 
 
-class TestFrobAndTrace:
-    def test_identity(self):
-        assert frob_and_trace(np.eye(5)) == (5.0, pytest.approx(np.sqrt(5.0)))
-
-    def test_hand_sum_of_squares(self):
-        tr, fr = frob_and_trace([[2.0, 1.0], [1.0, 2.0]])
-        assert tr == 4.0
-        assert fr == pytest.approx(np.sqrt(10.0))
-
-    def test_zero(self):
-        assert frob_and_trace(np.zeros((3, 3))) == (0.0, 0.0)
-
-    def test_eigenvalue_identities(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            a = rng.standard_normal((8, 8))
-            a = a + a.T
-            tr, fr = frob_and_trace(a)
-            vals = sym_eigen(a).values
-            assert tr == pytest.approx(vals.sum(), rel=1e-9, abs=1e-9)
-            assert fr ** 2 == pytest.approx(np.sum(vals ** 2), rel=1e-9)
-
-
 class TestRngStream:
     def test_same_seed_same_draws(self):
         a = RngStream(123).uniform(100)
@@ -181,3 +161,102 @@ class TestDistributionHelpers:
         assert chi2_sf(3.841458820694124, 1) == pytest.approx(0.05, abs=1e-9)
         assert chi2_sf(7.814727903251179, 3) == pytest.approx(0.05, abs=1e-9)
         assert chi2_sf(0.0, 4) == 1.0
+
+
+class TestChisqMixtureSf:
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 9, 25, 60, 400, 900])
+    @pytest.mark.parametrize("scale", [1.0, 2.3])
+    def test_equal_weights_match_chi2_tail(self, k, scale):
+        for p in (0.9, 0.5, 0.05, 1e-3, 1e-6, 1e-10):
+            x = scale * chdtri(k, p)
+            exact = gammaincc(k / 2.0, x / scale / 2.0)
+            assert chisq_mixture_sf(np.full(k, scale), x) == pytest.approx(exact, rel=1e-8)
+
+    @pytest.mark.parametrize("ratio", [0.5, 0.01, 0.999, 3e-7])
+    def test_two_chi2_2_closed_form(self, ratio):
+        # lam1 chi2(2) + lam2 chi2(2) is a sum of two exponentials
+        lam1, lam2 = 1.7, 1.7 * ratio
+        for x in np.geomspace(1e-4, 60.0, 25):
+            exact = (
+                lam1 * np.exp(-x / (2 * lam1)) - lam2 * np.exp(-x / (2 * lam2))
+            ) / (lam1 - lam2)
+            got = chisq_mixture_sf([lam1, lam1, lam2, lam2], x)
+            assert got == pytest.approx(exact, rel=1e-8)
+
+    @pytest.mark.parametrize("m, eps", [(200, 0.176), (400, 0.3), (900, 0.01)])
+    def test_cluster_of_weights_below_the_top_one(self, m, eps):
+        # Z^2 + eps chi2(m): condition on Z and integrate the chi2(m) tail
+        weights = np.concatenate([[1.0], np.full(m, eps)])
+        mean, sd = 1.0 + m * eps, np.sqrt(2.0 * (1.0 + m * eps * eps))
+        for x in mean + sd * np.array([-2.0, 0.0, 2.0, 5.0, 10.0]):
+            def given_z(u):
+                return gammaincc(m / 2.0, (x - u * u) / (2.0 * eps)) * 2.0 * np.exp(-u * u / 2.0)
+
+            inner, _ = integrate.quad(given_z, 0.0, np.sqrt(x), epsabs=0.0, epsrel=1e-13, limit=500)
+            exact = inner / np.sqrt(2.0 * np.pi) + 2.0 * ndtr(-np.sqrt(x))
+            assert chisq_mixture_sf(weights, x) == pytest.approx(exact, rel=1e-8)
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            np.random.default_rng(1).exponential(size=5),
+            np.random.default_rng(2).exponential(size=9),
+            np.random.default_rng(3).uniform(0.1, 2.0, size=25),
+            np.array([5.0, 1.0, 0.1, 1e-4, 1e-9]),
+        ],
+        ids=["J5", "J9", "J25", "ill_conditioned"],
+    )
+    def test_agrees_with_monte_carlo_reference(self, weights):
+        draws = 1_000_000
+        sd = np.sqrt(2.0 * np.sum(weights ** 2))
+        for x in (weights.sum(), weights.sum() + 2.0 * sd):
+            exact = chisq_mixture_sf(weights, x)
+            mc = weighted_chisq_pvalue(weights, x, draws, RngStream(17))
+            assert abs(exact - mc) <= 4.0 * np.sqrt(exact * (1.0 - exact) / draws)
+
+    def test_monotone_and_bounded(self):
+        weights = [3.0, 1.0, 0.5, 0.01]
+        xs = np.concatenate([[1e-12, 1e-6], np.linspace(0.01, 120.0, 400)])
+        ps = np.array([chisq_mixture_sf(weights, x) for x in xs])
+        assert np.all((ps >= 0.0) & (ps <= 1.0))
+        assert np.all(np.diff(ps) <= 0.0)
+
+    def test_extreme_thresholds_stay_in_range(self):
+        for x in (1e-300, 1e-30, 1e5, 1e300):
+            for weights in ([1.0], [1e300, 1e299], [1e-300, 2e-300], [5.0, 1.0, 1e-9]):
+                assert 0.0 <= chisq_mixture_sf(weights, x) <= 1.0
+
+    def test_nonpositive_threshold(self):
+        assert chisq_mixture_sf([1.0, 2.0], 0.0) == 1.0
+        assert chisq_mixture_sf([1.0, 2.0], -3.0) == 1.0
+
+    def test_all_zero_weights(self):
+        assert chisq_mixture_sf([0.0, 0.0], 0.0) == 1.0
+        with pytest.warns(RuntimeWarning):
+            assert chisq_mixture_sf([0.0, 0.0], 1.0) == 0.0
+
+    def test_negative_weight_rejected(self):
+        with pytest.raises(InvalidInput):
+            chisq_mixture_sf([1.0, -0.5], 1.0)
+        with pytest.raises(InvalidInput):
+            chisq_mixture_sf([1e-3, -1e-12], 1.0)
+
+    def test_rounding_noise_clipped(self):
+        assert chisq_mixture_sf([2.0, -1e-14], 3.0) == chisq_mixture_sf([2.0, 0.0], 3.0)
+        assert chisq_mixture_sf([2.0, 0.0], 3.0) == chisq_mixture_sf([2.0], 3.0)
+
+    def test_malformed_input_rejected(self):
+        for weights, x in (([], 1.0), ([[1.0]], 1.0), ([1.0, np.nan], 1.0), ([1.0], np.inf)):
+            with pytest.raises(InvalidInput):
+                chisq_mixture_sf(weights, x)
+
+    def test_deterministic(self):
+        weights = np.random.default_rng(4).exponential(size=9)
+        assert chisq_mixture_sf(weights, 14.0) == chisq_mixture_sf(weights.copy(), 14.0)
+
+    def test_quadrature_rule_not_rebuilt_per_call(self, monkeypatch):
+        def no_rebuild(_):
+            raise AssertionError("the Gauss-Legendre rule is built once, at import")
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", no_rebuild)
+        assert 0.0 < chisq_mixture_sf([1.0, 2.0], 3.0) < 1.0
