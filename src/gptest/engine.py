@@ -19,7 +19,7 @@ import numpy as np
 from .basis import BasisSpec, DesignMatrix, build_design
 from .errors import DegenerateScale, InvalidInput, NotPSD
 from .dgp import Dataset
-from .nuisance import crossfit, _with_intercept
+from .nuisance import crossfit, with_intercept
 from .numerics import RngStream, chi2_sf, chisq_mixture_sf, normal_cdf, psd_sqrt, sym_eigen
 from .scores import ScoreSpec
 
@@ -251,9 +251,11 @@ def run_gp_test(
     g = fit.pseudo_outcomes
     x = data.covariate_matrix(score.covariates)
     if variant == WALD_PROJECTION:
-        result = wald_projection_test(_with_intercept(x), g, alpha=config.alpha)
+        result = wald_projection_test(with_intercept(x), g, alpha=config.alpha)
     else:
         design = build_design(x, basis_spec)
+        if design.J >= design.n:
+            raise InvalidInput(f"basis has J={design.J} columns for n={design.n} rows; need J < n")
         if variant == GP_STANDARDIZED:
             result = gp_test_standardized(design, g, config)
         else:

@@ -2,9 +2,10 @@
 
 The learner roster is deliberately small: ordinary least squares for
 continuous targets and iteratively reweighted least squares logistic
-regression for binary ones.  Cross-fitting trains every nuisance model a
-score needs on the out-of-fold data and evaluates the pseudo-outcome on
-the held-out fold.
+regression for binary ones.  Cross-fitting fits every nuisance model a
+score needs without the held-out fold and writes its predictions on that
+fold into a per-row array, so each nuisance becomes one array of
+out-of-fold values; the score is then evaluated once on the full sample.
 """
 
 from __future__ import annotations
@@ -43,21 +44,15 @@ class LinearFit:
 
 
 @dataclass
-class FoldAssignment:
-    n: int
-    K: int
-    fold_of: np.ndarray
-
-
-@dataclass
 class CrossFitResult:
     pseudo_outcomes: np.ndarray
-    folds: FoldAssignment | None
-    per_fold_fits: list = field(default_factory=list)
+    fold_of: np.ndarray | None  # fold index of each row; None in oracle mode
+    nuisances: dict[str, np.ndarray]  # out-of-fold value of each nuisance per row
     diagnostics: dict = field(default_factory=dict)
 
 
-def _with_intercept(x: np.ndarray) -> np.ndarray:
+def with_intercept(x: np.ndarray) -> np.ndarray:
+    """Prepend a column of ones to a covariate vector or matrix."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
@@ -116,27 +111,15 @@ def fit_logistic(features: np.ndarray, y: np.ndarray) -> LinearFit:
     return LinearFit(coefficients=beta, link="logit", converged=converged)
 
 
-def make_folds(n: int, K: int, rng: RngStream) -> FoldAssignment:
-    """Random permutation chunked into K near-equal folds."""
+def make_folds(n: int, K: int, rng: RngStream) -> np.ndarray:
+    """Fold index of each row: a random permutation chunked into K near-equal folds."""
     if not (2 <= K <= n):
         raise InvalidInput(f"need 2 <= K <= n, got K={K}, n={n}")
-    fold_of = np.empty(n, dtype=int)
-    perm = rng.permutation(n)
     sizes = np.full(K, n // K)
     sizes[: n % K] += 1
-    start = 0
-    for k, size in enumerate(sizes):
-        fold_of[perm[start : start + size]] = k
-        start += size
-    return FoldAssignment(n=n, K=K, fold_of=fold_of)
-
-
-def _subset(data: Dataset, mask: np.ndarray) -> Dataset:
-    return Dataset(
-        columns={k: v[mask] for k, v in data.columns.items()},
-        binary=data.binary,
-        provenance=data.provenance,
-    )
+    fold_of = np.empty(n, dtype=int)
+    fold_of[rng.permutation(n)] = np.repeat(np.arange(K), sizes)
+    return fold_of
 
 
 def _stratum_fit(features, y, mask, learner, fold: int, label: str):
@@ -152,122 +135,104 @@ def _stratum_fit(features, y, mask, learner, fold: int, label: str):
         ) from None
 
 
-def _fit_bundle_me(train: Dataset, spec: sc.ScoreSpec, fold: int):
-    x = train.covariate_matrix(spec.covariates)
-    feats = _with_intercept(x)
-    y = train.col(spec.column("y"))
-    a = train.col(spec.column("a"))
-    s = train.col(spec.column("s"))
-    arm = float(spec.arm)
-    s_model = _stratum_fit(feats, s, np.ones(len(s), bool), fit_logistic, fold, "S")
-    fits = {"s_model": s_model}
+def _target(data: Dataset, spec: sc.ScoreSpec, role: str):
+    """The column playing ``role`` and its learner: IRLS if declared binary, else OLS."""
+    name = spec.column(role)
+    return data.col(name), fit_logistic if name in data.binary else fit_ols
+
+
+# Each fitter fits on the ``train`` rows of the shared intercept design
+# ``feats`` and returns (nuisance values at the ``held`` rows, fits).
+
+
+def _fit_me(data: Dataset, spec: sc.ScoreSpec, feats, train, held, fold: int):
+    y, y_learner = _target(data, spec, "y")
+    a = data.col(spec.column("a"))
+    s = data.col(spec.column("s"))
+    s_model = _stratum_fit(feats, s, train, fit_logistic, fold, "S")
+    fits = [s_model]
+    ps1 = s_model.predict(held)
+    values = {}
     for sv in (0, 1):
-        in_s = s == sv
-        fits[f"a_model_s{sv}"] = _stratum_fit(feats, a, in_s, fit_logistic, fold, f"S={sv}")
-        cell = in_s & (a == arm)
-        outcome_learner = fit_logistic if spec.column("y") in train.binary else fit_ols
-        fits[f"mu_s{sv}"] = _stratum_fit(feats, y, cell, outcome_learner, fold, f"(A={spec.arm},S={sv})")
-
-    def make_pi(sv):
-        def f(xq):
-            fq = _with_intercept(xq)
-            ps1 = fits["s_model"].predict(fq)
-            ps = ps1 if sv == 1 else 1.0 - ps1
-            pa1 = fits[f"a_model_s{sv}"].predict(fq)
-            return ps * (pa1 if spec.arm == 1 else 1.0 - pa1)
-
-        return f
-
-    def make_mu(sv):
-        return lambda xq: fits[f"mu_s{sv}"].predict(_with_intercept(xq))
-
-    bundle = {
-        "pi_s1": make_pi(1), "pi_s0": make_pi(0),
-        "mu_s1": make_mu(1), "mu_s0": make_mu(0),
-    }
-    return bundle, fits
+        in_s = train & (s == sv)
+        a_model = _stratum_fit(feats, a, in_s, fit_logistic, fold, f"S={sv}")
+        cell = in_s & (a == spec.arm)
+        mu = _stratum_fit(feats, y, cell, y_learner, fold, f"(A={spec.arm},S={sv})")
+        fits += [a_model, mu]
+        ps = ps1 if sv == 1 else 1.0 - ps1
+        pa1 = a_model.predict(held)
+        values[f"pi_s{sv}"] = ps * (pa1 if spec.arm == 1 else 1.0 - pa1)
+        values[f"mu_s{sv}"] = mu.predict(held)
+    return values, fits
 
 
-def _fit_bundle_iv(train: Dataset, spec: sc.ScoreSpec, fold: int):
-    x = train.covariate_matrix(spec.covariates)
-    feats = _with_intercept(x)
-    y = train.col(spec.column("y"))
-    d = train.col(spec.column("d"))
+def _fit_iv(data: Dataset, spec: sc.ScoreSpec, feats, train, held, fold: int):
     fits = {}
-    bundle = {}
-    d_learner = fit_logistic if spec.column("d") in train.binary else fit_ols
-    y_learner = fit_logistic if spec.column("y") in train.binary else fit_ols
     for j in (1, 2):
-        z = train.col(spec.column(f"z{j}"))
-        fits[f"pz{j}"] = _stratum_fit(feats, z, np.ones(len(z), bool), fit_logistic, fold, f"Z{j}")
+        z = data.col(spec.column(f"z{j}"))
+        fits[f"pz{j}"] = _stratum_fit(feats, z, train, fit_logistic, fold, f"Z{j}")
         for zv in (0, 1):
-            arm = z == zv
-            fits[f"mu_d{j}_{zv}"] = _stratum_fit(feats, d, arm, d_learner, fold, f"Z{j}={zv}")
-            fits[f"mu_y{j}_{zv}"] = _stratum_fit(feats, y, arm, y_learner, fold, f"Z{j}={zv}")
-    for name, fit in fits.items():
-        bundle[name] = (lambda f: lambda xq: f.predict(_with_intercept(xq)))(fit)
-    return bundle, fits
+            arm = train & (z == zv)
+            for role in ("d", "y"):
+                target, learner = _target(data, spec, role)
+                key = f"mu_{role}{j}_{zv}"
+                fits[key] = _stratum_fit(feats, target, arm, learner, fold, f"Z{j}={zv}")
+    return {key: fit.predict(held) for key, fit in fits.items()}, fits.values()
 
 
-def _fit_bundle_parametric(train: Dataset, spec: sc.ScoreSpec, fold: int):
-    x = train.covariate_matrix(spec.covariates)
-    feats = _with_intercept(x)
-    y = train.col(spec.column("y"))
-    fit = fit_ols(feats, y)
-    gram = feats.T @ feats / feats.shape[0]
+def _fit_parametric(data: Dataset, spec: sc.ScoreSpec, feats, train, held, fold: int):
+    """The fitted mean ``h`` and each held-out row's leverage under this fold's Gram matrix."""
+    train_feats = feats[train]
+    fit = fit_ols(train_feats, data.col(spec.column("y"))[train])
+    gram = train_feats.T @ train_feats / train_feats.shape[0]
     gram_inv = np.linalg.inv(gram + _RIDGE_JITTER * np.eye(gram.shape[0]))
-    bundle = {
-        "h": lambda xq: fit.predict(_with_intercept(xq)),
-        "features": _with_intercept,
-        "gram_inv": gram_inv,
-    }
-    return bundle, {"h": fit}
+    leverage = np.einsum("ij,jk,ik->i", held, gram_inv, held)
+    return {"h": fit.predict(held), "leverage": leverage}, [fit]
 
 
-def _fit_bundle_condcov(train: Dataset, spec: sc.ScoreSpec, fold: int):
-    x = train.covariate_matrix(spec.covariates)
-    feats = _with_intercept(x)
+def _fit_condcov(data: Dataset, spec: sc.ScoreSpec, feats, train, held, fold: int):
     fits = {}
-    bundle = {}
     for key, role in (("mean_y", "y"), ("mean_z", "z")):
-        target = train.col(spec.column(role))
-        learner = fit_logistic if spec.column(role) in train.binary else fit_ols
-        fits[key] = _stratum_fit(feats, target, np.ones(len(target), bool), learner, fold, role)
-        bundle[key] = (lambda f: lambda xq: f.predict(_with_intercept(xq)))(fits[key])
-    return bundle, fits
+        target, learner = _target(data, spec, role)
+        fits[key] = _stratum_fit(feats, target, train, learner, fold, role)
+    return {key: fit.predict(held) for key, fit in fits.items()}, fits.values()
 
 
-_BUNDLE_FITTERS = {
-    sc.MEAN_EXCHANGEABILITY: _fit_bundle_me,
-    sc.IV_COMPATIBILITY: _fit_bundle_iv,
-    sc.PARAMETRIC_SPEC: _fit_bundle_parametric,
-    sc.CONDITIONAL_COVARIANCE: _fit_bundle_condcov,
+_FITTERS = {
+    sc.MEAN_EXCHANGEABILITY: _fit_me,
+    sc.IV_COMPATIBILITY: _fit_iv,
+    sc.PARAMETRIC_SPEC: _fit_parametric,
+    sc.CONDITIONAL_COVARIANCE: _fit_condcov,
 }
 
 
 def crossfit(data: Dataset, spec: sc.ScoreSpec, K: int, rng: RngStream) -> CrossFitResult:
-    """Out-of-fold pseudo-outcomes g(O_i; eta-hat) for the given score.
+    """Out-of-fold pseudo-outcomes g(O_i; eta-hat without fold k(i)) for the given score.
 
-    In oracle mode the analytic bundle is evaluated directly and no
+    In oracle mode the analytic nuisances are evaluated at X and no
     models are fit.
     """
+    x = data.covariate_matrix(spec.covariates)
     if spec.nuisance_mode == "oracle":
-        pseudo = sc.evaluate_score(data, spec.oracle, spec)
-        return CrossFitResult(pseudo_outcomes=pseudo, folds=None)
-    folds = make_folds(data.n, K, rng)
-    fitter = _BUNDLE_FITTERS[spec.kind]
-    pseudo = np.empty(data.n)
-    per_fold_fits = []
+        eta = {key: f(x) for key, f in spec.oracle.items()}
+        return CrossFitResult(sc.evaluate_score(data, eta, spec), None, eta)
+    fold_of = make_folds(data.n, K, rng)
+    feats = with_intercept(x)
+    fitter = _FITTERS[spec.kind]
+    eta = {}
+    nonconverged = 0
     for k in range(K):
-        hold = folds.fold_of == k
-        bundle, fits = fitter(_subset(data, ~hold), spec, k)
-        pseudo[hold] = sc.evaluate_score(_subset(data, hold), bundle, spec)
-        per_fold_fits.append(fits)
+        hold = fold_of == k
+        values, fits = fitter(data, spec, feats, ~hold, feats[hold], k)
+        for key, value in values.items():
+            eta.setdefault(key, np.empty(data.n))[hold] = value
+        nonconverged += sum(not fit.converged for fit in fits)
+    pseudo = sc.evaluate_score(data, eta, spec)
     if not np.all(np.isfinite(pseudo)):
         raise InvalidInput("cross-fitting produced non-finite pseudo-outcomes")
     return CrossFitResult(
         pseudo_outcomes=pseudo,
-        folds=folds,
-        per_fold_fits=per_fold_fits,
-        diagnostics={"K": K},
+        fold_of=fold_of,
+        nuisances=eta,
+        diagnostics={"K": K, "nonconverged_fits": nonconverged},
     )

@@ -1,10 +1,10 @@
 """Conditionally Neyman-orthogonal score functions and diagnostics.
 
 Each score maps a dataset plus a nuisance bundle to a vector of
-per-observation pseudo-outcomes g(O_i; eta).  Nuisance bundles are
-dictionaries of vectorized callables of the covariate matrix; the same
-keys are produced by cross-fitting and by the oracle constructors in
-:mod:`gptest.dgp`.
+per-observation pseudo-outcomes g(O_i; eta).  A nuisance bundle maps
+each nuisance name to an array of its values, one per row of the
+dataset: the out-of-fold predictions from cross-fitting, or the oracle
+functions of :mod:`gptest.dgp` evaluated at the covariates.
 """
 
 from __future__ import annotations
@@ -83,15 +83,14 @@ def _need(bundle: dict, key: str):
 
 def g_mean_exchangeability(data: Dataset, bundle: dict, spec: ScoreSpec) -> np.ndarray:
     """AIPW contrast of the arm-a outcome mean across the two sources."""
-    x = data.covariate_matrix(spec.covariates)
     y = data.col(spec.column("y"))
     a = data.col(spec.column("a"))
     s = data.col(spec.column("s"))
     cp = spec.clip_propensity
-    pi1 = _clip_prob(_need(bundle, "pi_s1")(x), cp)
-    pi0 = _clip_prob(_need(bundle, "pi_s0")(x), cp)
-    mu1 = _need(bundle, "mu_s1")(x)
-    mu0 = _need(bundle, "mu_s0")(x)
+    pi1 = _clip_prob(_need(bundle, "pi_s1"), cp)
+    pi0 = _clip_prob(_need(bundle, "pi_s0"), cp)
+    mu1 = _need(bundle, "mu_s1")
+    mu0 = _need(bundle, "mu_s0")
     in_arm = (a == spec.arm).astype(float)
     ind1 = in_arm * (s == 1.0)
     ind0 = in_arm * (s == 0.0)
@@ -102,16 +101,15 @@ def g_iv_component(data: Dataset, bundle: dict, spec: ScoreSpec, j: int) -> np.n
     """Orthogonal score for the complier effect identified by instrument j."""
     if j not in (1, 2):
         raise InvalidInput("instrument index must be 1 or 2")
-    x = data.covariate_matrix(spec.covariates)
     y = data.col(spec.column("y"))
     d = data.col(spec.column("d"))
     z = data.col(spec.column(f"z{j}"))
     cp = spec.clip_propensity
-    pz = _clip_prob(_need(bundle, f"pz{j}")(x), cp)
-    d1 = _need(bundle, f"mu_d{j}_1")(x)
-    d0 = _need(bundle, f"mu_d{j}_0")(x)
-    y1 = _need(bundle, f"mu_y{j}_1")(x)
-    y0 = _need(bundle, f"mu_y{j}_0")(x)
+    pz = _clip_prob(_need(bundle, f"pz{j}"), cp)
+    d1 = _need(bundle, f"mu_d{j}_1")
+    d0 = _need(bundle, f"mu_d{j}_0")
+    y1 = _need(bundle, f"mu_y{j}_1")
+    y0 = _need(bundle, f"mu_y{j}_0")
     compliance = _clip_signed(d1 - d0, spec.clip_denominator)
     effect_num = y1 - y0
     aipw_y = z / pz * (y - y1) - (1.0 - z) / (1.0 - pz) * (y - y0)
@@ -131,25 +129,20 @@ def g_iv_compatibility(data: Dataset, bundle: dict, spec: ScoreSpec) -> np.ndarr
 def g_parametric_spec(data: Dataset, bundle: dict, spec: ScoreSpec) -> np.ndarray:
     """Orthogonalized residual for a linear-model specification test.
 
-    The bundle carries ``h`` (the fitted mean), ``features`` (the linear
-    feature map) and ``gram_inv`` (the inverse empirical feature Gram
-    matrix driving the OLS influence adjustment).
+    The bundle carries ``h`` (the fitted mean) and ``leverage`` (each row's
+    b(X_i)' G^{-1} b(X_i) for the linear features b and the empirical
+    feature Gram matrix G of the fit, driving the OLS influence
+    adjustment).
     """
-    x = data.covariate_matrix(spec.covariates)
     y = data.col(spec.column("y"))
-    resid = y - _need(bundle, "h")(x)
-    feats = _need(bundle, "features")(x)
-    gram_inv = _need(bundle, "gram_inv")
-    leverage = np.einsum("ij,jk,ik->i", feats, gram_inv, feats)
-    return resid * (1.0 - leverage)
+    return (y - _need(bundle, "h")) * (1.0 - _need(bundle, "leverage"))
 
 
 def g_conditional_covariance(data: Dataset, bundle: dict, spec: ScoreSpec) -> np.ndarray:
     """Product of the Y- and Z-residuals given X."""
-    x = data.covariate_matrix(spec.covariates)
     y = data.col(spec.column("y"))
     z = data.col(spec.column("z"))
-    return (y - _need(bundle, "mean_y")(x)) * (z - _need(bundle, "mean_z")(x))
+    return (y - _need(bundle, "mean_y")) * (z - _need(bundle, "mean_z"))
 
 
 def evaluate_score(data: Dataset, bundle: dict, spec: ScoreSpec) -> np.ndarray:
@@ -167,14 +160,7 @@ def combine_bundles(truth: dict, perturbation: dict, t: float) -> dict:
     """Pointwise convex combination (1-t) * truth + t * perturbation."""
     if set(truth) != set(perturbation):
         raise InvalidInput("bundles carry different nuisance keys")
-    combined = {}
-    for key in truth:
-        f0, f1 = truth[key], perturbation[key]
-        if callable(f0):
-            combined[key] = (lambda a, b: lambda x: (1.0 - t) * a(x) + t * b(x))(f0, f1)
-        else:
-            combined[key] = (1.0 - t) * np.asarray(f0) + t * np.asarray(f1)
-    return combined
+    return {key: (1.0 - t) * truth[key] + t * perturbation[key] for key in truth}
 
 
 def orthogonality_diagnostic(
@@ -188,17 +174,21 @@ def orthogonality_diagnostic(
 ) -> np.ndarray:
     """Path D(t) = mean of g(O; (1-t) truth + t pert) * w(X) over the sample.
 
-    Callers check first-order insensitivity by symmetric finite
-    differences around t = 0 and the quadratic scaling of the curvature.
-    ``score_fn`` defaults to the orthogonal score named by ``spec``; pass
-    a different evaluator to probe non-orthogonal comparators.
+    ``truth``, ``perturbation`` and ``weight`` are functions of the
+    covariate matrix; they are evaluated once at X.  Callers check
+    first-order insensitivity by symmetric finite differences around
+    t = 0 and the quadratic scaling of the curvature.  ``score_fn``
+    defaults to the orthogonal score named by ``spec``; pass a different
+    evaluator to probe non-orthogonal comparators.
     """
     if score_fn is None:
         score_fn = evaluate_score
     x = data.covariate_matrix(spec.covariates)
     w = np.ones(data.n) if weight is None else np.asarray(weight(x), dtype=float)
+    truth_at_x = {key: f(x) for key, f in truth.items()}
+    pert_at_x = {key: f(x) for key, f in perturbation.items()}
     out = np.empty(len(t_grid))
     for i, t in enumerate(t_grid):
-        bundle = combine_bundles(truth, perturbation, float(t))
+        bundle = combine_bundles(truth_at_x, pert_at_x, float(t))
         out[i] = float(np.mean(score_fn(data, bundle, spec) * w))
     return out

@@ -199,7 +199,7 @@ def test_criterion_9_orthogonality_diagnostic(criterion_report):
 
     def plug_me(data, bundle, spec):
         x = data.covariate_matrix(spec.covariates)
-        return bundle["mu_s1"](x) - bundle["mu_s0"](x)
+        return bundle["mu_s1"] - bundle["mu_s0"]
 
     ratio_me, d_me, dp_me = _diagnostic_summary(
         data_a, ScoreSpec(kind="mean_exchangeability", arm=0), truth_a, pert_a, plug_me
@@ -217,8 +217,8 @@ def test_criterion_9_orthogonality_diagnostic(criterion_report):
         x = data.covariate_matrix(spec.covariates)
         out = 0.0
         for j, sign in ((1, 1.0), (2, -1.0)):
-            num = bundle[f"mu_y{j}_1"](x) - bundle[f"mu_y{j}_0"](x)
-            den = bundle[f"mu_d{j}_1"](x) - bundle[f"mu_d{j}_0"](x)
+            num = bundle[f"mu_y{j}_1"] - bundle[f"mu_y{j}_0"]
+            den = bundle[f"mu_d{j}_1"] - bundle[f"mu_d{j}_0"]
             den = np.where(np.abs(den) < 0.05, np.sign(den) * 0.05 + (den == 0) * 0.05, den)
             out = out + sign * num / den
         return out

@@ -322,6 +322,16 @@ class TestRunGpTest:
         with pytest.raises(InvalidInput):
             run_gp_test(data, score, BasisSpec(j_star=3), EngineConfig(), variant="bogus")
 
+    def test_basis_wider_than_sample_refused(self):
+        # tensor j_star=15 on two covariates gives J = 225 columns for 200 rows
+        data, score = self._setup(n=200)
+        spec = BasisSpec(j_star=15, combination="tensor")
+        for variant in (GP_STANDARDIZED, GP_UNSTANDARDIZED):
+            with pytest.raises(InvalidInput, match="J=225.*n=200"):
+                run_gp_test(data, score, spec, EngineConfig(), variant=variant)
+        narrow = BasisSpec(j_star=14, combination="tensor")
+        assert run_gp_test(data, score, narrow, EngineConfig()).J == 196
+
     def test_to_dict_round_trip(self):
         import json
 

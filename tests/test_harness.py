@@ -175,6 +175,7 @@ class TestCli:
         assert payload["method"] == "gp_standardized"
         assert 0.0 <= payload["p_value"] <= 1.0
         assert payload["J"] == 5
+        assert payload["diagnostics"] == {"K": 5, "nonconverged_fits": 0}
 
     def test_test_command_reproducible(self, capsys, panel_a_csv, test_config_file):
         argv = ["test", "--data", panel_a_csv, "--config", test_config_file]
@@ -204,8 +205,9 @@ class TestCli:
             ("alpha = 2", "alpha"),
             ("folds = 1", "K=1"),
             ("mc_draws = 100000", "mc_draws"),
+            ("combination = tensor\nj_star = 30", "J=900"),
         ],
-        ids=["arm", "j_star", "alpha", "folds", "mc_draws"],
+        ids=["arm", "j_star", "alpha", "folds", "mc_draws", "J_not_below_n"],
     )
     def test_bad_config_value_exits_2(self, capsys, panel_a_csv, tmp_path, line, message):
         cfg = tmp_path / "bad.cfg"

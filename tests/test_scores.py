@@ -28,8 +28,14 @@ def logit(p):
     return np.log(p / (1.0 - p))
 
 
-def const_fn(c):
-    return lambda x: np.full(x.shape[0], float(c))
+def const(n, c):
+    return np.full(n, float(c))
+
+
+def at_x(functions, data):
+    """Nuisance arrays: each function of the covariates evaluated at X."""
+    x = data.covariate_matrix(("X1", "X2"))
+    return {key: f(x) for key, f in functions.items()}
 
 
 class TestSpecValidation:
@@ -61,8 +67,8 @@ class TestMeanExchangeability:
             binary=("S", "A"),
         )
         bundle = {
-            "pi_s1": const_fn(0.25), "pi_s0": const_fn(0.25),
-            "mu_s1": const_fn(2.5), "mu_s0": const_fn(2.5),
+            "pi_s1": const(n, 0.25), "pi_s0": const(n, 0.25),
+            "mu_s1": const(n, 2.5), "mu_s0": const(n, 2.5),
         }
         spec = ScoreSpec(kind="mean_exchangeability", arm=0)
         assert np.allclose(g_mean_exchangeability(data, bundle, spec), 0.0)
@@ -77,8 +83,8 @@ class TestMeanExchangeability:
             binary=("S", "A"),
         )
         bundle = {
-            "pi_s1": const_fn(0.3), "pi_s0": const_fn(0.3),
-            "mu_s1": const_fn(4.0), "mu_s0": const_fn(1.5),
+            "pi_s1": const(1, 0.3), "pi_s0": const(1, 0.3),
+            "mu_s1": const(1, 4.0), "mu_s0": const(1, 1.5),
         }
         spec = ScoreSpec(kind="mean_exchangeability", arm=0)
         assert g_mean_exchangeability(data, bundle, spec)[0] == pytest.approx(2.5)
@@ -86,7 +92,7 @@ class TestMeanExchangeability:
     def test_null_oracle_mean_near_zero(self):
         cfg = PanelAConfig(n=100_000, seed=30)
         data = gen_panel_a(cfg)
-        nb = oracle_nuisances_panel_a(cfg, a=0)
+        nb = at_x(oracle_nuisances_panel_a(cfg, a=0), data)
         spec = ScoreSpec(kind="mean_exchangeability", arm=0)
         g = g_mean_exchangeability(data, nb, spec)
         assert abs(g.mean()) < 3.0 * g.std() / np.sqrt(len(g))
@@ -94,7 +100,7 @@ class TestMeanExchangeability:
     def test_null_oracle_basis_moments_near_zero(self):
         cfg = PanelAConfig(n=100_000, seed=31)
         data = gen_panel_a(cfg)
-        nb = oracle_nuisances_panel_a(cfg, a=0)
+        nb = at_x(oracle_nuisances_panel_a(cfg, a=0), data)
         spec = ScoreSpec(kind="mean_exchangeability", arm=0)
         g = g_mean_exchangeability(data, nb, spec)
         x = data.covariate_matrix(("X1", "X2"))
@@ -106,8 +112,8 @@ class TestMeanExchangeability:
     def test_clipping_keeps_outputs_finite(self):
         cfg = PanelAConfig(n=5000, seed=32)
         data = gen_panel_a(cfg)
-        nb = dict(oracle_nuisances_panel_a(cfg, a=0))
-        nb["pi_s1"] = const_fn(1e-9)  # degenerate propensity, clip must save it
+        nb = at_x(oracle_nuisances_panel_a(cfg, a=0), data)
+        nb["pi_s1"] = const(data.n, 1e-9)  # degenerate propensity, clip must save it
         for clip in (0.01, 0.05, 0.2):
             spec = ScoreSpec(kind="mean_exchangeability", arm=0, clip_propensity=clip)
             assert np.all(np.isfinite(g_mean_exchangeability(data, nb, spec)))
@@ -125,25 +131,25 @@ class TestIvScores:
             binary=("Z1", "Z2", "D"),
         )
 
-    def _perfect_compliance_bundle(self):
+    def _perfect_compliance_bundle(self, data):
         bundle = {}
         for j in (1, 2):
-            bundle[f"pz{j}"] = const_fn(0.5)
-            bundle[f"mu_d{j}_1"] = const_fn(1.0)
-            bundle[f"mu_d{j}_0"] = const_fn(0.0)
-            bundle[f"mu_y{j}_1"] = lambda x: x[:, 0]
-            bundle[f"mu_y{j}_0"] = lambda x: x[:, 0]
+            bundle[f"pz{j}"] = const(data.n, 0.5)
+            bundle[f"mu_d{j}_1"] = const(data.n, 1.0)
+            bundle[f"mu_d{j}_0"] = const(data.n, 0.0)
+            bundle[f"mu_y{j}_1"] = data.col("X1")
+            bundle[f"mu_y{j}_0"] = data.col("X1")
         return bundle
 
     def test_perfect_compliance_null_mean(self):
         data = self._perfect_compliance_data(100_000, 33)
         spec = ScoreSpec(kind="iv_compatibility")
-        g = g_iv_component(data, self._perfect_compliance_bundle(), spec, 1)
+        g = g_iv_component(data, self._perfect_compliance_bundle(data), spec, 1)
         assert abs(g.mean()) < 3.0 * g.std() / np.sqrt(len(g))
 
     def test_z0_indicator_brackets_vanish(self):
         data = self._perfect_compliance_data(50, 34)
-        bundle = self._perfect_compliance_bundle()
+        bundle = self._perfect_compliance_bundle(data)
         spec = ScoreSpec(kind="iv_compatibility")
         g = g_iv_component(data, bundle, spec, 1)
         z1 = data.col("Z1")
@@ -156,13 +162,13 @@ class TestIvScores:
     def test_identical_bundles_and_instruments_cancel(self):
         data = self._perfect_compliance_data(100, 35)
         spec = ScoreSpec(kind="iv_compatibility")
-        g = g_iv_compatibility(data, self._perfect_compliance_bundle(), spec)
+        g = g_iv_compatibility(data, self._perfect_compliance_bundle(data), spec)
         assert np.allclose(g, 0.0, atol=1e-12)
 
     def test_panel_b_null_mean(self):
         cfg = PanelBConfig(n=100_000, seed=36)
         data = gen_panel_b(cfg)
-        nb = oracle_nuisances_panel_b(cfg)
+        nb = at_x(oracle_nuisances_panel_b(cfg), data)
         spec = ScoreSpec(kind="iv_compatibility")
         g = g_iv_compatibility(data, nb, spec)
         assert abs(g.mean()) < 3.0 * g.std() / np.sqrt(len(g))
@@ -170,7 +176,7 @@ class TestIvScores:
     def test_alternative_loads_on_linear_weight(self):
         cfg = PanelBConfig(n=100_000, seed=37, beta1=0.5, beta2=0.5)
         data = gen_panel_b(cfg)
-        nb = oracle_nuisances_panel_b(cfg)
+        nb = at_x(oracle_nuisances_panel_b(cfg), data)
         spec = ScoreSpec(kind="iv_compatibility")
         g = g_iv_compatibility(data, nb, spec)
         gw = g * (data.col("X1") + data.col("X2"))
@@ -179,7 +185,7 @@ class TestIvScores:
     def test_swap_antisymmetry(self):
         cfg = PanelBConfig(n=2000, seed=38)
         data = gen_panel_b(cfg)
-        nb = oracle_nuisances_panel_b(cfg)
+        nb = at_x(oracle_nuisances_panel_b(cfg), data)
         swapped_nb = {}
         for j, other in ((1, 2), (2, 1)):
             swapped_nb[f"pz{j}"] = nb[f"pz{other}"]
@@ -197,13 +203,13 @@ class TestIvScores:
 
 class TestParametricSpec:
     def _bundle(self, x_train, y_train):
+        # fitted and evaluated on the same rows, which the tests pass as data
         feats = np.column_stack([np.ones(len(x_train)), x_train])
         beta = np.linalg.lstsq(feats, y_train, rcond=None)[0]
         gram_inv = np.linalg.inv(feats.T @ feats / len(x_train))
         return {
-            "h": lambda x: np.column_stack([np.ones(x.shape[0]), x[:, 0]]) @ beta,
-            "features": lambda x: np.column_stack([np.ones(x.shape[0]), x[:, 0]]),
-            "gram_inv": gram_inv,
+            "h": feats @ beta,
+            "leverage": np.einsum("ij,jk,ik->i", feats, gram_inv, feats),
         }
 
     def test_exact_linear_vanishes(self):
@@ -244,7 +250,7 @@ class TestConditionalCovariance:
         rng = np.random.default_rng(42)
         x = rng.uniform(-1, 1, 100)
         data = Dataset(columns={"X1": x, "X2": x, "Y": 2.0 * x, "Z": rng.standard_normal(100)})
-        bundle = {"mean_y": lambda q: 2.0 * q[:, 0], "mean_z": const_fn(0.0)}
+        bundle = {"mean_y": 2.0 * x, "mean_z": const(100, 0.0)}
         spec = ScoreSpec(kind="conditional_covariance")
         assert np.allclose(g_conditional_covariance(data, bundle, spec), 0.0)
 
@@ -257,7 +263,7 @@ class TestConditionalCovariance:
                 "Y": rng.standard_normal(n), "Z": rng.standard_normal(n),
             }
         )
-        bundle = {"mean_y": const_fn(0.0), "mean_z": const_fn(0.0)}
+        bundle = {"mean_y": const(n, 0.0), "mean_z": const(n, 0.0)}
         spec = ScoreSpec(kind="conditional_covariance")
         g = g_conditional_covariance(data, bundle, spec)
         assert abs(g.mean()) < 3.0 * g.std() / np.sqrt(n)
@@ -267,7 +273,7 @@ class TestConditionalCovariance:
         n = 100_000
         y = rng.standard_normal(n)
         data = Dataset(columns={"X1": rng.uniform(-1, 1, n), "X2": rng.uniform(-1, 1, n), "Y": y, "Z": y})
-        bundle = {"mean_y": const_fn(0.0), "mean_z": const_fn(0.0)}
+        bundle = {"mean_y": const(n, 0.0), "mean_z": const(n, 0.0)}
         spec = ScoreSpec(kind="conditional_covariance")
         g = g_conditional_covariance(data, bundle, spec)
         assert g.mean() == pytest.approx(1.0, abs=0.02)
@@ -327,8 +333,7 @@ class TestOrthogonalityDiagnostic:
         deriv = (d[3] - d[1]) / 0.2
 
         def plug(data, bundle, spec):
-            x = data.covariate_matrix(spec.covariates)
-            return bundle["mu_s1"](x) - bundle["mu_s0"](x)
+            return bundle["mu_s1"] - bundle["mu_s0"]
 
         d_plug = orthogonality_diagnostic(
             data, spec, truth, pert, self.T_GRID, score_fn=plug
