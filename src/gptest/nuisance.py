@@ -6,6 +6,12 @@ regression for binary ones.  Cross-fitting fits every nuisance model a
 score needs without the held-out fold and writes its predictions on that
 fold into a per-row array, so each nuisance becomes one array of
 out-of-fold values; the score is then evaluated once on the full sample.
+
+The K fold fits of one nuisance model are solved together: the model's
+stratum rows are gathered once, fold k weights them by
+``fold_of[i] != k``, and the K weighted normal equations (or Newton
+steps) are solved as one stack.  ``fit_ols`` and ``fit_logistic`` are
+the K = 1 case of the same solvers.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ _RIDGE_JITTER = 1e-10
 _LOGIT_MAX_ITER = 100
 _LOGIT_TOL = 1e-8
 _LOGIT_COEF_CAP = 30.0
+_LOGIT_MIN_WEIGHT = 1e-10
 
 
 @dataclass
@@ -59,7 +66,7 @@ def with_intercept(x: np.ndarray) -> np.ndarray:
     return np.column_stack([np.ones(x.shape[0]), x])
 
 
-def _solve_normal(gram: np.ndarray, moment: np.ndarray) -> np.ndarray:
+def _solve_one(gram: np.ndarray, moment: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.solve(gram, moment)
     except np.linalg.LinAlgError:
@@ -70,6 +77,85 @@ def _solve_normal(gram: np.ndarray, moment: np.ndarray) -> np.ndarray:
             raise SingularDesign("design matrix is rank deficient") from None
 
 
+def _solve_normal(gram: np.ndarray, moment: np.ndarray) -> np.ndarray:
+    """Solve a (K, p, p) stack of normal equations; a singular system is
+    retried on its own with a 1e-10 ridge jitter."""
+    try:
+        return np.linalg.solve(gram, moment[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        return np.array([_solve_one(g, m) for g, m in zip(gram, moment)])
+
+
+def _gram_columns(features: np.ndarray):
+    """Products f_a * f_b of the design's columns for a <= b, one column
+    each, and for every entry (a, b) of a p x p matrix the column holding
+    its product."""
+    p = features.shape[1]
+    pairs = [(a, b) for a in range(p) for b in range(a, p)]
+    column = {pair: j for j, pair in enumerate(pairs)}
+    entry = [[column[min(a, b), max(a, b)] for b in range(p)] for a in range(p)]
+    rows, cols = (list(side) for side in zip(*pairs))
+    columns = features[:, rows]
+    columns *= features[:, cols]
+    return columns, entry
+
+
+def _grams(weights: np.ndarray, columns: np.ndarray, entry) -> np.ndarray:
+    """The (K, p, p) stack sum_i weights[k, i] f_i f_i' from ``_gram_columns``."""
+    return (weights @ columns)[:, entry]
+
+
+def _lstsq(features: np.ndarray, y: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Least squares coefficients (K, p), fit k on the rows where weights[k] is 1."""
+    gram = _grams(weights, *_gram_columns(features))
+    return _solve_normal(gram, (weights * y) @ features)
+
+
+def _irls(features: np.ndarray, y: np.ndarray, weights: np.ndarray):
+    """Logistic coefficients (K, p) and converged flags (K,), fit k on the
+    rows where weights[k] is 1.
+
+    Every fit takes its own Newton steps from zero.  A fit whose
+    coefficients pass magnitude 30 is clipped there and stops unconverged
+    (a separation guard); one whose step falls below 1e-8 stops converged;
+    either way it is frozen while the others go on.  A fit still running
+    after 100 steps is unconverged.
+    """
+    K, m = weights.shape
+    columns, entry = _gram_columns(features)
+    beta = np.zeros((K, features.shape[1]))
+    converged = np.zeros(K, dtype=bool)
+    running = np.arange(K)
+    prob = np.empty((K, m))
+    work = np.empty((K, m))
+    for _ in range(_LOGIT_MAX_ITER):
+        # prob = expit(eta) in place, in the 1 / (1 + exp(-eta)) form of dgp.expit
+        np.matmul(-beta, features.T, out=prob)
+        np.exp(prob, out=prob)
+        prob += 1.0
+        np.divide(1.0, prob, out=prob)
+        np.subtract(1.0, prob, out=work)
+        work *= prob
+        np.maximum(work, _LOGIT_MIN_WEIGHT, out=work)
+        work *= weights
+        gram = _grams(work, columns, entry)
+        np.subtract(y, prob, out=work)
+        work *= weights
+        grad = work @ features
+        step = _solve_normal(gram[running], grad[running])
+        beta[running] += step
+        capped = np.abs(beta[running]).max(axis=1) > _LOGIT_COEF_CAP
+        if capped.any():
+            # only the capped fits can lie outside the cap
+            np.clip(beta, -_LOGIT_COEF_CAP, _LOGIT_COEF_CAP, out=beta)
+        small = np.abs(step).max(axis=1) < _LOGIT_TOL
+        converged[running[small & ~capped]] = True
+        running = running[~(small | capped)]
+        if running.size == 0:
+            break
+    return beta, converged
+
+
 def fit_ols(features: np.ndarray, y: np.ndarray) -> LinearFit:
     """Least squares fit; near-singular designs get a 1e-10 ridge jitter."""
     features = np.asarray(features, dtype=float)
@@ -77,7 +163,7 @@ def fit_ols(features: np.ndarray, y: np.ndarray) -> LinearFit:
     n, p = features.shape
     if n <= p:
         raise SingularDesign(f"need n > p, got n={n}, p={p}")
-    beta = _solve_normal(features.T @ features, features.T @ y)
+    beta = _lstsq(features, y, np.ones((1, n)))[0]
     return LinearFit(coefficients=beta, link="identity")
 
 
@@ -93,22 +179,8 @@ def fit_logistic(features: np.ndarray, y: np.ndarray) -> LinearFit:
     classes = np.unique(y)
     if classes.size < 2:
         raise DegenerateLabels("logistic fit needs both classes present")
-    beta = np.zeros(features.shape[1])
-    converged = False
-    for _ in range(_LOGIT_MAX_ITER):
-        p = expit(features @ beta)
-        w = np.clip(p * (1.0 - p), 1e-10, None)
-        gram = features.T @ (w[:, None] * features)
-        grad = features.T @ (y - p)
-        step = _solve_normal(gram, grad)
-        beta = beta + step
-        if np.max(np.abs(beta)) > _LOGIT_COEF_CAP:
-            beta = np.clip(beta, -_LOGIT_COEF_CAP, _LOGIT_COEF_CAP)
-            break
-        if np.max(np.abs(step)) < _LOGIT_TOL:
-            converged = True
-            break
-    return LinearFit(coefficients=beta, link="logit", converged=converged)
+    beta, converged = _irls(features, y, np.ones((1, features.shape[0])))
+    return LinearFit(coefficients=beta[0], link="logit", converged=bool(converged[0]))
 
 
 def make_folds(n: int, K: int, rng: RngStream) -> np.ndarray:
@@ -122,80 +194,123 @@ def make_folds(n: int, K: int, rng: RngStream) -> np.ndarray:
     return fold_of
 
 
-def _stratum_fit(features, y, mask, learner, fold: int, label: str):
-    if np.sum(mask) < features.shape[1] + 1:
-        raise InsufficientStratum(
-            f"training data for fold {fold} has too few rows in stratum {label}"
-        )
-    try:
-        return learner(features[mask], y[mask])
-    except DegenerateLabels:
-        raise InsufficientStratum(
-            f"training data for fold {fold} is single-class in stratum {label}"
-        ) from None
+def _single_class_folds(y: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Folds whose training rows all carry the same label value."""
+    # count each fold's training labels that differ from its first one:
+    # row 0's, except in the fold that holds row 0 out
+    differs = weights @ (y != y[0]).astype(float)
+    k = np.argmin(weights[:, 0])
+    differs[k] = weights[k] @ (y != y[np.argmax(weights[k])]).astype(float)
+    return np.flatnonzero(differs == 0)
+
+
+class _Folds:
+    """The shared intercept design and the fold of every row; counts the
+    fold fits that did not converge."""
+
+    def __init__(self, features: np.ndarray, fold_of: np.ndarray, K: int):
+        n = fold_of.size
+        self.features = features
+        self.fold_of = fold_of
+        self.K = K
+        self.everyone = np.ones(n, dtype=bool)
+        # where row i's own-fold value sits in a flattened (K, n) array
+        self.own_fold = fold_of * n + np.arange(n)
+        self.nonconverged = 0
+
+    def training(self, stratum: np.ndarray, label: str):
+        """The stratum's row indices, its rows of the design and their
+        (K, m) training weights W[k, i] = fold_of[i] != k."""
+        rows = np.flatnonzero(stratum)
+        features = np.take(self.features, rows, axis=0)
+        fold_of = np.take(self.fold_of, rows)
+        counts = rows.size - np.bincount(fold_of, minlength=self.K)
+        short = np.flatnonzero(counts < features.shape[1] + 1)
+        if short.size:
+            raise InsufficientStratum(
+                f"training data for fold {short[0]} has too few rows in stratum {label}"
+            )
+        return rows, features, (fold_of != np.arange(self.K)[:, None]).astype(float)
+
+    def predict(self, target: np.ndarray, stratum: np.ndarray, link: str, label: str):
+        """Out-of-fold predictions of ``target`` at every row: row i gets the
+        fit of fold ``fold_of[i]``, trained on the stratum's rows outside it.
+
+        ``link`` 'logit' fits by IRLS, 'identity' by least squares.
+        """
+        rows, features, weights = self.training(stratum, label)
+        y = np.take(target, rows)
+        if link == "logit":
+            single = _single_class_folds(y, weights)
+            if single.size:
+                raise InsufficientStratum(
+                    f"training data for fold {single[0]} is single-class in stratum {label}"
+                )
+            beta, converged = _irls(features, y, weights)
+            self.nonconverged += int(np.sum(~converged))
+        else:
+            beta = _lstsq(features, y, weights)
+        eta = np.take(beta @ self.features.T, self.own_fold)
+        return expit(eta) if link == "logit" else eta
 
 
 def _target(data: Dataset, spec: sc.ScoreSpec, role: str):
-    """The column playing ``role`` and its learner: IRLS if declared binary, else OLS."""
+    """The column playing ``role`` and its link: logit if declared binary, else identity."""
     name = spec.column(role)
-    return data.col(name), fit_logistic if name in data.binary else fit_ols
+    return data.col(name), "logit" if name in data.binary else "identity"
 
 
-# Each fitter fits on the ``train`` rows of the shared intercept design
-# ``feats`` and returns (nuisance values at the ``held`` rows, fits).
+# Each fitter returns the out-of-fold value of each of its nuisances at every row.
 
 
-def _fit_me(data: Dataset, spec: sc.ScoreSpec, feats, train, held, fold: int):
-    y, y_learner = _target(data, spec, "y")
+def _fit_me(data: Dataset, spec: sc.ScoreSpec, folds: _Folds):
+    y, y_link = _target(data, spec, "y")
     a = data.col(spec.column("a"))
     s = data.col(spec.column("s"))
-    s_model = _stratum_fit(feats, s, train, fit_logistic, fold, "S")
-    fits = [s_model]
-    ps1 = s_model.predict(held)
+    ps1 = folds.predict(s, folds.everyone, "logit", "S")
     values = {}
     for sv in (0, 1):
-        in_s = train & (s == sv)
-        a_model = _stratum_fit(feats, a, in_s, fit_logistic, fold, f"S={sv}")
-        cell = in_s & (a == spec.arm)
-        mu = _stratum_fit(feats, y, cell, y_learner, fold, f"(A={spec.arm},S={sv})")
-        fits += [a_model, mu]
+        in_s = s == sv
+        pa1 = folds.predict(a, in_s, "logit", f"S={sv}")
         ps = ps1 if sv == 1 else 1.0 - ps1
-        pa1 = a_model.predict(held)
         values[f"pi_s{sv}"] = ps * (pa1 if spec.arm == 1 else 1.0 - pa1)
-        values[f"mu_s{sv}"] = mu.predict(held)
-    return values, fits
+        cell = in_s & (a == spec.arm)
+        values[f"mu_s{sv}"] = folds.predict(y, cell, y_link, f"(A={spec.arm},S={sv})")
+    return values
 
 
-def _fit_iv(data: Dataset, spec: sc.ScoreSpec, feats, train, held, fold: int):
-    fits = {}
+def _fit_iv(data: Dataset, spec: sc.ScoreSpec, folds: _Folds):
+    values = {}
     for j in (1, 2):
         z = data.col(spec.column(f"z{j}"))
-        fits[f"pz{j}"] = _stratum_fit(feats, z, train, fit_logistic, fold, f"Z{j}")
+        values[f"pz{j}"] = folds.predict(z, folds.everyone, "logit", f"Z{j}")
         for zv in (0, 1):
-            arm = train & (z == zv)
+            arm = z == zv
             for role in ("d", "y"):
-                target, learner = _target(data, spec, role)
-                key = f"mu_{role}{j}_{zv}"
-                fits[key] = _stratum_fit(feats, target, arm, learner, fold, f"Z{j}={zv}")
-    return {key: fit.predict(held) for key, fit in fits.items()}, fits.values()
+                target, link = _target(data, spec, role)
+                values[f"mu_{role}{j}_{zv}"] = folds.predict(target, arm, link, f"Z{j}={zv}")
+    return values
 
 
-def _fit_parametric(data: Dataset, spec: sc.ScoreSpec, feats, train, held, fold: int):
-    """The fitted mean ``h`` and each held-out row's leverage under this fold's Gram matrix."""
-    train_feats = feats[train]
-    fit = fit_ols(train_feats, data.col(spec.column("y"))[train])
-    gram = train_feats.T @ train_feats / train_feats.shape[0]
-    gram_inv = np.linalg.inv(gram + _RIDGE_JITTER * np.eye(gram.shape[0]))
-    leverage = np.einsum("ij,jk,ik->i", held, gram_inv, held)
-    return {"h": fit.predict(held), "leverage": leverage}, [fit]
+def _fit_parametric(data: Dataset, spec: sc.ScoreSpec, folds: _Folds):
+    """The fitted mean ``h`` and each row's leverage under its own fold's Gram matrix."""
+    everyone = folds.everyone
+    h = folds.predict(data.col(spec.column("y")), everyone, "identity", "Y")
+    _, features, weights = folds.training(everyone, "Y")
+    p = features.shape[1]
+    gram = _grams(weights, *_gram_columns(features)) / weights.sum(axis=1)[:, None, None]
+    gram_inv = np.linalg.inv(gram + _RIDGE_JITTER * np.eye(p))
+    feats = folds.features
+    leverage = np.einsum("ij,ijk,ik->i", feats, gram_inv[folds.fold_of], feats)
+    return {"h": h, "leverage": leverage}
 
 
-def _fit_condcov(data: Dataset, spec: sc.ScoreSpec, feats, train, held, fold: int):
-    fits = {}
+def _fit_condcov(data: Dataset, spec: sc.ScoreSpec, folds: _Folds):
+    values = {}
     for key, role in (("mean_y", "y"), ("mean_z", "z")):
-        target, learner = _target(data, spec, role)
-        fits[key] = _stratum_fit(feats, target, train, learner, fold, role)
-    return {key: fit.predict(held) for key, fit in fits.items()}, fits.values()
+        target, link = _target(data, spec, role)
+        values[key] = folds.predict(target, folds.everyone, link, role)
+    return values
 
 
 _FITTERS = {
@@ -216,23 +331,18 @@ def crossfit(data: Dataset, spec: sc.ScoreSpec, K: int, rng: RngStream) -> Cross
     if spec.nuisance_mode == "oracle":
         eta = {key: f(x) for key, f in spec.oracle.items()}
         return CrossFitResult(sc.evaluate_score(data, eta, spec), None, eta)
-    fold_of = make_folds(data.n, K, rng)
-    feats = with_intercept(x)
-    fitter = _FITTERS[spec.kind]
-    eta = {}
-    nonconverged = 0
-    for k in range(K):
-        hold = fold_of == k
-        values, fits = fitter(data, spec, feats, ~hold, feats[hold], k)
-        for key, value in values.items():
-            eta.setdefault(key, np.empty(data.n))[hold] = value
-        nonconverged += sum(not fit.converged for fit in fits)
+    folds = _Folds(with_intercept(x), make_folds(data.n, K, rng), K)
+    eta = _FITTERS[spec.kind](data, spec, folds)
     pseudo = sc.evaluate_score(data, eta, spec)
     if not np.all(np.isfinite(pseudo)):
         raise InvalidInput("cross-fitting produced non-finite pseudo-outcomes")
     return CrossFitResult(
         pseudo_outcomes=pseudo,
-        fold_of=fold_of,
+        fold_of=folds.fold_of,
         nuisances=eta,
-        diagnostics={"K": K, "nonconverged_fits": nonconverged},
+        diagnostics={
+            "K": K,
+            "nonconverged_fits": folds.nonconverged,
+            **sc.clip_diagnostics(eta, spec),
+        },
     )

@@ -156,6 +156,36 @@ def evaluate_score(data: Dataset, bundle: dict, spec: ScoreSpec) -> np.ndarray:
     return g_conditional_covariance(data, bundle, spec)
 
 
+def clip_diagnostics(bundle: dict, spec: ScoreSpec) -> dict:
+    """How close the score's denominators came to their clips.
+
+    ``min_propensity`` is the smallest propensity before clipping (pi_s1
+    and pi_s0 for mean exchangeability; P(Z_j = 1 | X) and P(Z_j = 0 | X)
+    for IV compatibility). ``clipped_rows`` counts the rows where the
+    score clipped a propensity at ``clip_propensity`` or floored a
+    compliance denominator at ``clip_denominator``.  Other scores have
+    neither and get an empty dict.
+    """
+    if spec.kind == MEAN_EXCHANGEABILITY:
+        propensities = [_need(bundle, "pi_s1"), _need(bundle, "pi_s0")]
+        denominators = []
+    elif spec.kind == IV_COMPATIBILITY:
+        pz = [_need(bundle, f"pz{j}") for j in (1, 2)]
+        propensities = pz + [1.0 - p for p in pz]
+        denominators = [_need(bundle, f"mu_d{j}_1") - _need(bundle, f"mu_d{j}_0") for j in (1, 2)]
+    else:
+        return {}
+    clipped = np.zeros(propensities[0].shape, dtype=bool)
+    for p in propensities:
+        clipped |= _clip_prob(p, spec.clip_propensity) != p
+    for d in denominators:
+        clipped |= _clip_signed(d, spec.clip_denominator) != d
+    return {
+        "min_propensity": float(min(p.min() for p in propensities)),
+        "clipped_rows": int(clipped.sum()),
+    }
+
+
 def combine_bundles(truth: dict, perturbation: dict, t: float) -> dict:
     """Pointwise convex combination (1-t) * truth + t * perturbation."""
     if set(truth) != set(perturbation):

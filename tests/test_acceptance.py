@@ -198,7 +198,6 @@ def test_criterion_9_orthogonality_diagnostic(criterion_report):
     }
 
     def plug_me(data, bundle, spec):
-        x = data.covariate_matrix(spec.covariates)
         return bundle["mu_s1"] - bundle["mu_s0"]
 
     ratio_me, d_me, dp_me = _diagnostic_summary(
@@ -214,7 +213,6 @@ def test_criterion_9_orthogonality_diagnostic(criterion_report):
     pert_b["mu_d1_1"] = lambda x: truth_b["mu_d1_1"](x) - 0.1
 
     def plug_iv(data, bundle, spec):
-        x = data.covariate_matrix(spec.covariates)
         out = 0.0
         for j, sign in ((1, 1.0), (2, -1.0)):
             num = bundle[f"mu_y{j}_1"] - bundle[f"mu_y{j}_0"]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gptest.cli import main
-from gptest.dgp import PanelAConfig, gen_panel_a, write_csv
+from gptest.dgp import PanelAConfig, gen_panel_a, read_csv, write_csv
 from gptest.errors import InvalidConfig
 from gptest.harness import (
     SimGridConfig,
@@ -15,6 +15,9 @@ from gptest.harness import (
     run_grid,
     sim_config_from_text,
 )
+from gptest.nuisance import crossfit
+from gptest.numerics import RngStream
+from gptest.scores import ScoreSpec
 
 
 class TestConfigParsing:
@@ -175,7 +178,13 @@ class TestCli:
         assert payload["method"] == "gp_standardized"
         assert 0.0 <= payload["p_value"] <= 1.0
         assert payload["J"] == 5
-        assert payload["diagnostics"] == {"K": 5, "nonconverged_fits": 0}
+        diagnostics = payload["diagnostics"]
+        assert set(diagnostics) == {"K", "nonconverged_fits", "min_propensity", "clipped_rows"}
+        assert diagnostics["K"] == 5
+        assert diagnostics["nonconverged_fits"] == 0
+        fit = crossfit(read_csv(panel_a_csv), ScoreSpec(), K=5, rng=RngStream(2))
+        assert diagnostics == fit.diagnostics
+        assert 0.0 < diagnostics["min_propensity"] < 1.0
 
     def test_test_command_reproducible(self, capsys, panel_a_csv, test_config_file):
         argv = ["test", "--data", panel_a_csv, "--config", test_config_file]

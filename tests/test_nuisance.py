@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
-from gptest.dgp import Dataset, PanelAConfig, expit, gen_panel_a, oracle_nuisances_panel_a
-from gptest.errors import DegenerateLabels, InsufficientStratum, InvalidInput
+from gptest.dgp import (
+    Dataset,
+    PanelAConfig,
+    PanelBConfig,
+    expit,
+    gen_panel_a,
+    gen_panel_b,
+    oracle_nuisances_panel_a,
+)
+from gptest.errors import DegenerateLabels, InsufficientStratum, InvalidInput, SingularDesign
 from gptest.nuisance import (
     crossfit,
     fit_logistic,
@@ -42,6 +50,12 @@ class TestFitOls:
         resid = y - fit.predict(feats)
         assert np.max(np.abs(feats.T @ resid)) < 1e-8 * np.linalg.norm(y)
 
+    def test_singular_even_with_jitter(self):
+        # two equal columns of 1e10 make F'F all-equal entries of 3e20, and
+        # the 1e-10 ridge jitter is lost in rounding
+        with pytest.raises(SingularDesign):
+            fit_ols(np.full((3, 2), 1e10), np.arange(3.0))
+
 
 class TestFitLogistic:
     def test_independent_balanced(self):
@@ -69,6 +83,13 @@ class TestFitLogistic:
         assert np.max(np.abs(fit.coefficients)) <= 30.0
         assert not fit.converged
         assert np.all(np.isfinite(fit.predict(with_intercept(x))))
+
+    def test_coefficient_cap(self):
+        # separated on a narrow range of x, the slope passes 30 within a few steps
+        x = np.concatenate([np.linspace(-0.02, -0.01, 20), np.linspace(0.01, 0.02, 20)])
+        fit = fit_logistic(with_intercept(x), (x > 0).astype(float))
+        assert fit.coefficients[1] == 30.0
+        assert not fit.converged
 
     def test_single_class_rejected(self):
         with pytest.raises(DegenerateLabels):
@@ -188,7 +209,8 @@ class TestCrossfit:
         data = gen_panel_a(PanelAConfig(n=1000, seed=19))
         spec = ScoreSpec(kind="mean_exchangeability")
         res = crossfit(data, spec, K=5, rng=RngStream(2))
-        assert res.diagnostics == {"K": 5, "nonconverged_fits": 0}
+        assert res.diagnostics["K"] == 5
+        assert res.diagnostics["nonconverged_fits"] == 0
 
     def test_insufficient_stratum_reported(self):
         data = gen_panel_a(PanelAConfig(n=200, seed=16))
@@ -219,3 +241,204 @@ class TestCrossfit:
         ).pseudo_outcomes
         se = fitted.std() / np.sqrt(len(fitted))
         assert abs(fitted.mean() - oracle.mean()) < 4.0 * se
+
+
+def _per_fold_reference(data, spec, fold_of):
+    """Nuisances fit fold by fold with fit_logistic/fit_ols on gathered
+    training rows, and the number of those fits that did not converge."""
+    feats = with_intercept(data.covariate_matrix(spec.covariates))
+
+    def col(role):
+        return data.col(spec.column(role))
+
+    def learner(role):
+        return fit_logistic if spec.column(role) in data.binary else fit_ols
+
+    eta = {}
+    nonconverged = 0
+    for k in range(int(fold_of.max()) + 1):
+        hold = fold_of == k
+        train = ~hold
+        values = {}
+        fits = []
+
+        def fit(learn, target, rows):
+            model = learn(feats[rows], target[rows])
+            fits.append(model)
+            return model.predict(feats[hold])
+
+        if spec.kind == "mean_exchangeability":
+            s, a = col("s"), col("a")
+            ps1 = fit(fit_logistic, s, train)
+            for sv in (0, 1):
+                in_s = train & (s == sv)
+                pa1 = fit(fit_logistic, a, in_s)
+                ps = ps1 if sv == 1 else 1.0 - ps1
+                values[f"pi_s{sv}"] = ps * (pa1 if spec.arm == 1 else 1.0 - pa1)
+                values[f"mu_s{sv}"] = fit(learner("y"), col("y"), in_s & (a == spec.arm))
+        elif spec.kind == "iv_compatibility":
+            for j in (1, 2):
+                z = col(f"z{j}")
+                values[f"pz{j}"] = fit(fit_logistic, z, train)
+                for zv in (0, 1):
+                    for role in ("d", "y"):
+                        key = f"mu_{role}{j}_{zv}"
+                        values[key] = fit(learner(role), col(role), train & (z == zv))
+        elif spec.kind == "parametric_spec":
+            values["h"] = fit(fit_ols, col("y"), train)
+            gram = feats[train].T @ feats[train] / np.sum(train)
+            gram_inv = np.linalg.inv(gram + 1e-10 * np.eye(gram.shape[0]))
+            values["leverage"] = np.einsum("ij,jk,ik->i", feats[hold], gram_inv, feats[hold])
+        else:
+            values["mean_y"] = fit(learner("y"), col("y"), train)
+            values["mean_z"] = fit(learner("z"), col("z"), train)
+        for key, value in values.items():
+            eta.setdefault(key, np.empty(data.n))[hold] = value
+        nonconverged += sum(not model.converged for model in fits)
+    return eta, nonconverged
+
+
+def _separated_condcov_dataset():
+    # Y = 1{X1 > 0} is separated by X1, so every fold's logistic fit stops at the cap
+    data = _condcov_null_dataset(500, 18)
+    cols = dict(data.columns, Y=(data.col("X1") > 0).astype(float))
+    return Dataset(columns=cols, binary=("Y",))
+
+
+def _one_fold_separated_dataset():
+    # Y = 1{X1 > 0} except on fold 0 of make_folds(500, 4, RngStream(7)),
+    # where Y is a coin flip: fold 0 trains on separated rows and stops at
+    # the coefficient cap, while the other folds train on overlapping
+    # labels and converge
+    data = _condcov_null_dataset(500, 19)
+    fold_of = make_folds(500, 4, RngStream(7))
+    coin = (np.random.default_rng(20).random(500) < 0.5).astype(float)
+    y = np.where(fold_of == 0, coin, (data.col("X1") > 0).astype(float))
+    return Dataset(columns=dict(data.columns, Y=y), binary=("Y",))
+
+
+_REFERENCE_CASES = {
+    "panel_a_arm0_K3": (lambda: gen_panel_a(PanelAConfig(n=1000, seed=21)), {}, 3),
+    "panel_a_arm0_K5": (lambda: gen_panel_a(PanelAConfig(n=1000, seed=22)), {}, 5),
+    "panel_a_arm1_K3": (lambda: gen_panel_a(PanelAConfig(n=1000, seed=23)), {"arm": 1}, 3),
+    "panel_a_arm1_K5": (lambda: gen_panel_a(PanelAConfig(n=1000, seed=24)), {"arm": 1}, 5),
+    "panel_b_K5": (
+        lambda: gen_panel_b(PanelBConfig(n=3000, seed=25)), {"kind": "iv_compatibility"}, 5),
+    "parametric_spec_K5": (
+        lambda: gen_panel_a(PanelAConfig(n=800, alpha1=0.5, seed=26)),
+        {"kind": "parametric_spec"}, 5),
+    "conditional_covariance_K5": (
+        lambda: _condcov_null_dataset(700, 27), {"kind": "conditional_covariance"}, 5),
+    "separated_K4": (_separated_condcov_dataset, {"kind": "conditional_covariance"}, 4),
+    "one_fold_separated_K4": (
+        _one_fold_separated_dataset, {"kind": "conditional_covariance"}, 4),
+}
+
+_EXPECTED_NONCONVERGED = {"separated_K4": 4, "one_fold_separated_K4": 1}
+
+
+class TestBatchedMatchesPerFoldReference:
+    @pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
+    def test_nuisances_and_nonconvergence(self, case):
+        make_data, spec_kw, K = _REFERENCE_CASES[case]
+        data = make_data()
+        spec = ScoreSpec(**spec_kw)
+        res = crossfit(data, spec, K=K, rng=RngStream(7))
+        expected, nonconverged = _per_fold_reference(data, spec, res.fold_of)
+        assert set(res.nuisances) == set(expected)
+        for key, values in expected.items():
+            np.testing.assert_allclose(res.nuisances[key], values, rtol=1e-10, atol=0, err_msg=key)
+        assert res.diagnostics["nonconverged_fits"] == nonconverged
+        assert nonconverged == _EXPECTED_NONCONVERGED.get(case, 0)
+
+
+def _with_columns(data, **changes):
+    return Dataset(columns=dict(data.columns, **changes), binary=data.binary)
+
+
+class TestBatchedFailurePaths:
+    def test_too_few_rows_in_one_fold(self):
+        # S = 1 on four rows in four different folds: the A model in the
+        # S=1 stratum has 3 training rows in each of those folds
+        data = gen_panel_a(PanelAConfig(n=200, seed=31))
+        fold_of = make_folds(200, 5, RngStream(4))
+        rows = [int(np.flatnonzero(fold_of == k)[0]) for k in (1, 2, 3, 4)]
+        s = np.zeros(200)
+        s[rows] = 1.0
+        with pytest.raises(InsufficientStratum, match=r"fold 1 has too few rows in stratum S=1$"):
+            crossfit(_with_columns(data, S=s), ScoreSpec(), K=5, rng=RngStream(4))
+
+    def test_single_class_everywhere(self):
+        data = gen_panel_b(PanelBConfig(n=600, seed=32))
+        broken = _with_columns(data, Z1=np.ones(600))
+        with pytest.raises(InsufficientStratum, match=r"fold 0 is single-class in stratum Z1$"):
+            crossfit(broken, ScoreSpec(kind="iv_compatibility"), K=5, rng=RngStream(5))
+
+    @pytest.mark.parametrize("which", ["fold_of_row_0", "other_fold"])
+    def test_single_class_in_one_fold(self, which):
+        # binary Y is 1 only on the rows of one fold, so that fold alone
+        # trains on a single class; the check compares each fold with one
+        # of its own training labels, and row 0 is held out of its fold
+        data = _condcov_null_dataset(300, 33)
+        fold_of = make_folds(300, 5, RngStream(6))
+        k = fold_of[0] if which == "fold_of_row_0" else (fold_of[0] + 1) % 5
+        y = (fold_of == k).astype(float)
+        broken = Dataset(columns=dict(data.columns, Y=y), binary=("Y",))
+        pattern = rf"training data for fold {k} is single-class in stratum y$"
+        with pytest.raises(InsufficientStratum, match=pattern):
+            crossfit(broken, ScoreSpec(kind="conditional_covariance"), K=5, rng=RngStream(6))
+
+    def test_singular_gram_takes_jitter_retry(self):
+        # X2 = 0 on every S = 1 row: each fold's Gram matrix in the S=1
+        # strata has a zero row and column, so the stacked solve raises
+        # LinAlgError and each fit is retried alone with the ridge jitter
+        data = gen_panel_a(PanelAConfig(n=800, seed=34))
+        x2 = np.where(data.col("S") == 1.0, 0.0, data.col("X2"))
+        flat = _with_columns(data, X2=x2)
+        feats = with_intercept(flat.covariate_matrix(("X1", "X2")))[flat.col("S") == 1.0]
+        assert np.linalg.matrix_rank(feats.T @ feats) == 2
+        spec = ScoreSpec()
+        res = crossfit(flat, spec, K=5, rng=RngStream(8))
+        expected, nonconverged = _per_fold_reference(flat, spec, res.fold_of)
+        for key, values in expected.items():
+            np.testing.assert_allclose(res.nuisances[key], values, rtol=1e-10, atol=0, err_msg=key)
+        assert res.diagnostics["nonconverged_fits"] == nonconverged
+
+    def test_singular_even_with_jitter(self):
+        data = _condcov_null_dataset(300, 35)
+        huge = _with_columns(data, X1=np.full(300, 1e10), X2=np.full(300, 1e10))
+        with pytest.raises(SingularDesign):
+            crossfit(huge, ScoreSpec(kind="conditional_covariance"), K=5, rng=RngStream(9))
+
+
+class TestClipDiagnostics:
+    def test_mean_exchangeability(self):
+        data = gen_panel_a(PanelAConfig(n=1000, seed=36))
+        spec = ScoreSpec(clip_propensity=0.1)
+        res = crossfit(data, spec, K=5, rng=RngStream(10))
+        pi = [res.nuisances["pi_s1"], res.nuisances["pi_s0"]]
+        clipped = np.zeros(1000, dtype=bool)
+        for p in pi:
+            clipped |= (p < 0.1) | (p > 0.9)
+        assert res.diagnostics["min_propensity"] == min(p.min() for p in pi)
+        assert res.diagnostics["clipped_rows"] == np.sum(clipped) > 0
+
+    def test_iv_compatibility(self):
+        data = gen_panel_b(PanelBConfig(n=3000, seed=37))
+        spec = ScoreSpec(kind="iv_compatibility", clip_propensity=0.3, clip_denominator=0.4)
+        res = crossfit(data, spec, K=5, rng=RngStream(11))
+        eta = res.nuisances
+        clipped = np.zeros(3000, dtype=bool)
+        smallest = []
+        for j in (1, 2):
+            pz = eta[f"pz{j}"]
+            clipped |= (pz < 0.3) | (pz > 0.7)
+            clipped |= np.abs(eta[f"mu_d{j}_1"] - eta[f"mu_d{j}_0"]) < 0.4
+            smallest += [pz.min(), (1.0 - pz).min()]
+        assert res.diagnostics["min_propensity"] == min(smallest)
+        assert res.diagnostics["clipped_rows"] == np.sum(clipped) > 0
+
+    def test_other_scores_report_none(self):
+        data = _condcov_null_dataset(300, 38)
+        res = crossfit(data, ScoreSpec(kind="conditional_covariance"), K=5, rng=RngStream(12))
+        assert set(res.diagnostics) == {"K", "nonconverged_fits"}
