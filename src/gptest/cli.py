@@ -22,12 +22,15 @@ from .errors import (
     InvalidInput,
     OutOfRange,
     SchemaError,
+    SingularDesign,
 )
 from .dgp import read_csv
 from .numerics import RngStream
 from .scores import SCORE_KINDS, ScoreSpec
 
-_INPUT_ERRORS = (SchemaError, InvalidConfig, InvalidInput, OutOfRange, InsufficientStratum)
+_INPUT_ERRORS = (
+    SchemaError, InvalidConfig, InvalidInput, OutOfRange, InsufficientStratum, SingularDesign,
+)
 
 
 def _read_text(path: str) -> str:

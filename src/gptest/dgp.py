@@ -295,15 +295,38 @@ def oracle_nuisances_panel_b(cfg: PanelBConfig) -> dict:
 def write_csv(data: Dataset, path: str) -> None:
     """Write a dataset as CSV with 17-significant-digit decimals."""
     names = list(data.columns)
+    mat = np.column_stack([data.columns[name] for name in names])
+    row_format = ",".join(["%.17g"] * len(names)) + "\n"
+    body = "".join([row_format % tuple(row) for row in mat.tolist()])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(names) + "\n")
-        mat = np.column_stack([data.columns[name] for name in names])
-        for row in mat:
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+        fh.write(",".join(names) + "\n" + body)
+
+
+def _locate_bad_row(lines: list[str], names: list[str]) -> None:
+    """Raise the SchemaError for the first data row that has the wrong
+    number of cells or a cell ``float`` rejects; return if there is none."""
+    for r, line in enumerate(lines, start=1):
+        cells = line.split(",")
+        if len(cells) != len(names):
+            raise SchemaError(f"row {r} has {len(cells)} cells, expected {len(names)}")
+        for name, cell in zip(names, cells):
+            try:
+                float(cell)
+            except ValueError:
+                raise SchemaError(
+                    f"non-numeric cell {cell!r} at row {r}, column {name!r}"
+                ) from None
 
 
 def read_csv(path: str, binary: tuple[str, ...] = (), required: tuple[str, ...] = ()) -> Dataset:
-    """Read a strictly numeric CSV with a header row into a Dataset."""
+    """Read a strictly numeric CSV with a header row into a Dataset.
+
+    Blank and whitespace-only lines are skipped.  The body is parsed in
+    one ``np.loadtxt`` call; only when that fails are the rows scanned
+    one by one to name the offending row and cell.  A cell ``loadtxt``
+    rejects but ``float`` accepts (a digit separator such as ``1_0``) is
+    refused without a location.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [line.rstrip("\n") for line in fh if line.strip() != ""]
@@ -312,21 +335,26 @@ def read_csv(path: str, binary: tuple[str, ...] = (), required: tuple[str, ...] 
     if not lines:
         raise SchemaError(f"empty input file {path!r}")
     names = [name.strip() for name in lines[0].split(",")]
+    for pos, name in enumerate(names):
+        if not name:
+            raise SchemaError(f"empty column name at position {pos + 1} in {path!r}")
+        if names.index(name) < pos:
+            raise SchemaError(f"duplicate column name {name!r} in {path!r}")
     for name in required:
         if name not in names:
             raise SchemaError(f"missing required column {name!r} in {path!r}")
-    cols = {name: [] for name in names}
-    for r, line in enumerate(lines[1:], start=1):
-        cells = line.split(",")
-        if len(cells) != len(names):
-            raise SchemaError(f"row {r} has {len(cells)} cells, expected {len(names)}")
-        for name, cell in zip(names, cells):
-            try:
-                cols[name].append(float(cell))
-            except ValueError:
-                raise SchemaError(
-                    f"non-numeric cell {cell!r} at row {r}, column {name!r}"
-                ) from None
-    arrays = {name: np.asarray(vals, dtype=float) for name, vals in cols.items()}
+    body = lines[1:]
+    if body:
+        try:
+            values = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+            if values.shape[1] != len(names):
+                raise ValueError(f"{values.shape[1]} cells per row, header has {len(names)}")
+        except ValueError as exc:
+            _locate_bad_row(body, names)
+            raise SchemaError(f"cannot parse {path!r} as numeric CSV: {exc}") from None
+    else:
+        # loadtxt warns on empty input, so a header-only file skips it
+        values = np.empty((0, len(names)))
+    arrays = {name: np.ascontiguousarray(values[:, j]) for j, name in enumerate(names)}
     present_binary = tuple(name for name in binary if name in arrays)
     return Dataset(columns=arrays, binary=present_binary, provenance=f"csv:{path}")

@@ -74,7 +74,10 @@ def _solve_one(gram: np.ndarray, moment: np.ndarray) -> np.ndarray:
         try:
             return np.linalg.solve(jittered, moment)
         except np.linalg.LinAlgError:
-            raise SingularDesign("design matrix is rank deficient") from None
+            raise SingularDesign(
+                "design matrix is rank deficient: the covariates are collinear "
+                "or constant within a stratum"
+            ) from None
 
 
 def _solve_normal(gram: np.ndarray, moment: np.ndarray) -> np.ndarray:

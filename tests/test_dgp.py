@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,83 @@ class TestCsvRoundTrip:
         with pytest.raises(SchemaError, match="row 2.*'Y'"):
             read_csv(str(path))
 
+    def test_edge_values_round_trip_bitwise(self, tmp_path):
+        x = np.array([-0.0, 5e-324, 1.7976931348623157e308, 0.1 + 0.2, 1 / 3, -2 / 7])
+        path = tmp_path / "edge.csv"
+        write_csv(Dataset(columns={"X": x}), str(path))
+        assert read_csv(str(path)).col("X").tobytes() == x.tobytes()
+
+    def test_write_matches_per_cell_format(self, tmp_path):
+        data = gen_panel_b(PanelBConfig(n=300, seed=13))
+        data.columns["E"] = np.array([-0.0, 5e-324, 1.7976931348623157e308, 0.1] * 75)
+        path, ref = tmp_path / "fast.csv", tmp_path / "ref.csv"
+        write_csv(data, str(path))
+        _reference_write_csv(data, str(ref))
+        assert path.read_bytes() == ref.read_bytes()
+
+    def test_columns_c_contiguous(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("X1,X2,Y\n1,2,3\n4,5,6\n")
+        data = read_csv(str(path))
+        for arr in data.columns.values():
+            assert arr.flags.c_contiguous and arr.dtype == np.float64
+        assert np.array_equal(data.col("X2"), [2.0, 5.0])
+
+    def test_blank_and_whitespace_lines_skipped(self, tmp_path):
+        path = tmp_path / "gaps.csv"
+        path.write_text("\nX1,Y\n\n0.5,1.0\n  \t \n-1e3,2E-1\n\n")
+        data = read_csv(str(path))
+        assert data.col("X1").tolist() == [0.5, -1000.0]
+        assert data.col("Y").tolist() == [1.0, 0.2]
+
+    def test_header_only_gives_empty_columns(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("X1, Y\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            data = read_csv(str(path), required=("Y",))
+        assert list(data.columns) == ["X1", "Y"]
+        assert data.n == 0
+
+    def test_one_row_with_crlf(self, tmp_path):
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(b"X1,Y\r\n0.25, -3 \r\n")
+        data = read_csv(str(path))
+        assert data.col("X1").tolist() == [0.25] and data.col("Y").tolist() == [-3.0]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("X1,Y\n0.5\n", "row 1 has 1 cells, expected 2"),
+            ("X1,Y\n0.5,1\n0.1,2,3\n", "row 2 has 3 cells, expected 2"),
+            ("X1,Y\n0.5,1,2\n0.1,2,3\n", "row 1 has 3 cells, expected 2"),
+            ("X1,Y\n0.5,1\n\n0.1\n", "row 2 has 1 cells, expected 2"),
+            ("X1,Y\n0.5,1.0\n0.1,NA\n", "non-numeric cell 'NA' at row 2, column 'Y'"),
+            ("X1,Y\n0.5,\n", "non-numeric cell '' at row 1, column 'Y'"),
+            ("X1,Y\n#2,1\n", "non-numeric cell '#2' at row 1, column 'X1'"),
+            ("X1,Y\n1,2\n1_0,3\n", "cannot parse .* as numeric CSV: .*'1_0'"),
+            ("X1,X2,X1\n1,2,3\n", "duplicate column name 'X1'"),
+            ("X1,,Y\n1,2,3\n", "empty column name at position 2"),
+            ("X1,Y,\n1,2,3\n", "empty column name at position 3"),
+        ],
+        ids=[
+            "short_first_row", "long_row", "every_row_long", "short_after_blank", "na_cell",
+            "empty_cell", "hash_cell", "digit_separator", "duplicate_name", "empty_name",
+            "trailing_comma",
+        ],
+    )
+    def test_bad_input_located(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(SchemaError, match=message):
+            read_csv(str(path))
+
+    def test_non_finite_cell_refused(self, tmp_path):
+        path = tmp_path / "inf.csv"
+        path.write_text("X1,Y\n0.5,1\n-inf,2\n")
+        with pytest.raises(SchemaError, match="non-finite value in column 'X1' at row 1"):
+            read_csv(str(path))
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
@@ -181,3 +260,13 @@ class TestCsvRoundTrip:
         path.write_text("X1,Y\n0.5,1.0\n")
         with pytest.raises(SchemaError, match="'S'"):
             read_csv(str(path), required=("S",))
+
+
+def _reference_write_csv(data, path):
+    """The per-cell ``format(v, ".17g")`` writer that ``write_csv`` must match."""
+    names = list(data.columns)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(names) + "\n")
+        mat = np.column_stack([data.columns[name] for name in names])
+        for row in mat:
+            fh.write(",".join(format(v, ".17g") for v in row) + "\n")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gptest.cli import main
-from gptest.dgp import PanelAConfig, gen_panel_a, read_csv, write_csv
+from gptest.dgp import Dataset, PanelAConfig, gen_panel_a, read_csv, write_csv
 from gptest.errors import InvalidConfig
 from gptest.harness import (
     SimGridConfig,
@@ -200,6 +200,34 @@ class TestCli:
         code = main(["test", "--data", str(path), "--config", test_config_file])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    def test_collinear_covariates_exit_2(self, capsys, tmp_path, test_config_file):
+        # identical covariates at the 1e10 scale: the 1e-10 ridge jitter is
+        # lost in rounding, so the stratum's design stays singular
+        data = gen_panel_a(PanelAConfig(n=600, seed=41))
+        x1 = data.col("X1") * 1e10
+        columns = {"X1": x1, "X2": x1.copy()}
+        columns.update({name: data.col(name) for name in ("S", "A", "Y")})
+        path = tmp_path / "collinear.csv"
+        write_csv(Dataset(columns=columns), str(path))
+        assert main(["test", "--data", str(path), "--config", test_config_file]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "collinear or constant within a stratum" in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("X1,X2,S,A,Y,X2\n", "duplicate column name 'X2'"),
+            ("X1,X2,S,A,Y\n0.1,0.2,1,0,1_0\n", "cannot parse"),
+        ],
+        ids=["duplicate_name", "digit_separator"],
+    )
+    def test_bad_csv_exits_2(self, capsys, tmp_path, test_config_file, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        assert main(["test", "--data", str(path), "--config", test_config_file]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
 
     def test_unknown_config_key_exits_2(self, capsys, panel_a_csv, tmp_path):
         cfg = tmp_path / "bad.cfg"
