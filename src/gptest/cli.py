@@ -9,12 +9,13 @@ import argparse
 import json
 import os
 import sys
+import time
 
 import numpy as np
 
 from . import harness
-from .basis import ADDITIVE, BasisSpec, basis_bound_diagnostics
-from .engine import GP_STANDARDIZED, METHODS, TestConfig, run_gp_test
+from .basis import BasisSpec, basis_bound_diagnostics
+from .engine import METHODS, TestConfig, run_gp_test
 from .errors import (
     GptestError,
     InsufficientStratum,
@@ -25,8 +26,8 @@ from .errors import (
     SingularDesign,
 )
 from .dgp import read_csv
-from .numerics import RngStream
-from .scores import SCORE_KINDS, ScoreSpec
+from .nuisance import check_folds
+from .scores import ScoreSpec
 
 _INPUT_ERRORS = (
     SchemaError, InvalidConfig, InvalidInput, OutOfRange, InsufficientStratum, SingularDesign,
@@ -51,78 +52,51 @@ def _empirical_ranges(x: np.ndarray):
     return tuple(ranges)
 
 
-def _test_config_from_kv(kv: dict, args) -> tuple[ScoreSpec, dict]:
-    known = {
-        "score", "arm", "variant", "basis_family", "j_star", "combination",
-        "alpha", "folds", "seed", "clip_propensity", "clip_denominator",
-        "covariates", "y_col", "a_col", "s_col",
-        "d_col", "z1_col", "z2_col", "z_col",
-    }
-    unknown = set(kv) - known
-    if unknown:
-        raise InvalidConfig(f"unknown config keys: {sorted(unknown)}")
-    kind = kv.get("score", "mean_exchangeability")
-    if kind not in SCORE_KINDS:
-        raise InvalidConfig(f"unknown score {kind!r}; choose from {SCORE_KINDS}")
-    columns = {}
-    for role in ("y", "a", "s", "d", "z1", "z2", "z"):
-        if f"{role}_col" in kv:
-            columns[role] = kv[f"{role}_col"]
-    covariates = tuple(
-        c.strip() for c in kv.get("covariates", "X1,X2").split(",") if c.strip()
-    )
-    try:
-        spec = ScoreSpec(
-            kind=kind,
-            arm=int(kv.get("arm", 0)),
-            covariates=covariates,
-            columns=columns,
-            clip_propensity=float(kv.get("clip_propensity", 0.01)),
-            clip_denominator=float(kv.get("clip_denominator", 0.05)),
-        )
-        settings = {
-            "variant": kv.get("variant", GP_STANDARDIZED),
-            "basis_family": kv.get("basis_family", "legendre"),
-            "j_star": int(kv.get("j_star", 3)),
-            "combination": kv.get("combination", ADDITIVE),
-            "alpha": float(args.alpha if args.alpha is not None else kv.get("alpha", 0.05)),
-            "folds": int(kv.get("folds", 5)),
-            "seed": int(args.seed if args.seed is not None else kv.get("seed", 0)),
-        }
-    except ValueError as exc:
-        raise InvalidConfig(f"bad config value: {exc}") from None
-    if settings["variant"] not in METHODS:
-        raise InvalidConfig(f"unknown variant {settings['variant']!r}")
-    return spec, settings
+# `gptest test` keys, as (key, parse, owner, field) rows of harness.parse_config.
+TEST_KEYS = (
+    ("score", str, "score", "kind"),
+    ("arm", int, "score", "arm"),
+    ("covariates", harness.listed(str), "score", "covariates"),
+    ("clip_propensity", float, "score", "clip_propensity"),
+    ("clip_denominator", float, "score", "clip_denominator"),
+    *((f"{role}_col", harness.name, "columns", role)
+      for role in ("y", "a", "s", "d", "z1", "z2", "z")),
+    ("variant", harness.choice(METHODS), "run", "variant"),
+    ("folds", lambda text: check_folds(int(text)), "run", "K"),
+    ("basis_family", str, "basis", "family"),
+    ("j_star", int, "basis", "j_star"),
+    ("combination", str, "basis", "combination"),
+    ("alpha", float, "test", "alpha"),
+    ("seed", int, "test", "seed"),
+)
 
 
 def cmd_test(args) -> int:
-    kv = harness.parse_config_text(_read_text(args.config))
-    spec, settings = _test_config_from_kv(kv, args)
+    overrides = {"seed": args.seed, "alpha": args.alpha}
+    kw = harness.parse_config(_read_text(args.config), TEST_KEYS, overrides)
+    spec = ScoreSpec(columns=kw["columns"], **kw["score"])
     data = read_csv(args.data)
-    x = data.covariate_matrix(spec.covariates)
-    basis_spec = BasisSpec(
-        family=settings["basis_family"],
-        j_star=settings["j_star"],
-        combination=settings["combination"],
-        ranges=_empirical_ranges(x),
-    )
-    config = TestConfig(alpha=settings["alpha"], seed=settings["seed"])
-    result = run_gp_test(
-        data, spec, basis_spec, config,
-        variant=settings["variant"], K=settings["folds"],
-        rng=RngStream(settings["seed"]),
-    )
+    ranges = _empirical_ranges(data.covariate_matrix(spec.covariates))
+    basis_spec = BasisSpec(ranges=ranges, **kw["basis"])
+    result = run_gp_test(data, spec, basis_spec, TestConfig(**kw["test"]), **kw["run"])
     print(json.dumps(result.to_dict(), indent=2))
     return 0
 
 
 def cmd_simulate(args) -> int:
-    overrides = {"seed": args.seed, "alpha": args.alpha, "threads": args.threads}
-    cfg = harness.sim_config_from_text(_read_text(args.config), overrides)
+    env = os.environ.get("GPTEST_THREADS", "").strip()
+    from_env = args.threads is None and env not in ("", "0")  # empty or 0 means unset
+    threads = env if from_env else args.threads
+    overrides = {"seed": args.seed, "alpha": args.alpha, "threads": threads}
+    try:
+        cfg = harness.sim_config_from_text(_read_text(args.config), overrides)
+    except InvalidConfig as exc:  # a bad GPTEST_THREADS is blamed on the variable
+        blame_env = from_env and str(exc).startswith("threads = ")
+        raise InvalidConfig(f"GPTEST_THREADS: {exc}" if blame_env else str(exc)) from None
+    start = time.perf_counter()
     table = harness.run_grid(cfg)
     table.to_csv(args.out)
-    print(f"wrote {len(table.rows)} rows to {args.out}")
+    print(f"wrote {len(table.rows)} rows to {args.out} in {time.perf_counter() - start:.2f} s")
     return 0
 
 
@@ -162,19 +136,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_test = sub.add_parser("test", help="run one test on a CSV dataset")
     p_test.add_argument("--data", required=True, help="CSV file with a header row")
     p_test.add_argument("--config", required=True, help="key = value config file")
-    p_test.add_argument("--seed", type=int, default=None)
-    p_test.add_argument("--alpha", type=float, default=None)
+    p_test.add_argument("--seed")
+    p_test.add_argument("--alpha")
     p_test.set_defaults(func=cmd_test)
 
     p_sim = sub.add_parser("simulate", help="run a rejection-rate grid")
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--out", required=True, help="output CSV path")
-    p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--alpha", type=float, default=None)
-    p_sim.add_argument(
-        "--threads", type=int,
-        default=int(os.environ.get("GPTEST_THREADS", "0")) or None,
-    )
+    p_sim.add_argument("--seed")
+    p_sim.add_argument("--alpha")
+    p_sim.add_argument("--threads", help="worker processes; default $GPTEST_THREADS")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_basis = sub.add_parser("basis-check", help="report basis bound diagnostics")

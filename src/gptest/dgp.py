@@ -8,6 +8,7 @@ ship analytic (oracle) nuisance functions.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -325,7 +326,7 @@ def read_csv(path: str, binary: tuple[str, ...] = (), required: tuple[str, ...] 
     one ``np.loadtxt`` call; only when that fails are the rows scanned
     one by one to name the offending row and cell.  A cell ``loadtxt``
     rejects but ``float`` accepts (a digit separator such as ``1_0``) is
-    refused without a location.
+    refused with ``loadtxt``'s message.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -351,7 +352,9 @@ def read_csv(path: str, binary: tuple[str, ...] = (), required: tuple[str, ...] 
                 raise ValueError(f"{values.shape[1]} cells per row, header has {len(names)}")
         except ValueError as exc:
             _locate_bad_row(body, names)
-            raise SchemaError(f"cannot parse {path!r} as numeric CSV: {exc}") from None
+            # loadtxt counts data rows from 0; every other message here counts from 1
+            reason = re.sub(r"at row (\d+)", lambda m: f"at row {int(m[1]) + 1}", str(exc))
+            raise SchemaError(f"cannot parse {path!r} as numeric CSV: {reason}") from None
     else:
         # loadtxt warns on empty input, so a header-only file skips it
         values = np.empty((0, len(names)))

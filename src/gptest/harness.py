@@ -1,5 +1,5 @@
 """Monte Carlo simulation runner: rejection-rate tables over a grid of
-data-generating processes, plus the plain-text config parser shared with
+data-generating processes, plus the typed config-key parser shared with
 the CLI.
 
 Replications carry individually derived seeds, so the output table is
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import hashlib
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +21,7 @@ from .engine import (
     TestConfig,
     run_gp_test,
 )
-from .errors import InvalidConfig
+from .errors import GptestError, InvalidConfig
 from .dgp import (
     PanelAConfig,
     PanelBConfig,
@@ -31,12 +30,13 @@ from .dgp import (
     oracle_nuisances_panel_a,
     oracle_nuisances_panel_b,
 )
+from .nuisance import check_folds
 from .numerics import RngStream
 from .scores import IV_COMPATIBILITY, MEAN_EXCHANGEABILITY, ScoreSpec
 
 TABLE_HEADER = (
     "panel", "n", "scenario_1", "scenario_2", "method", "j_star",
-    "rejection_rate", "replications", "mc_stderr", "mean_runtime_ms",
+    "rejection_rate", "replications", "mc_stderr",
 )
 
 
@@ -71,6 +71,13 @@ class SimGridConfig:
             raise InvalidConfig(f"unknown nuisance mode {self.nuisance_mode!r}")
         if self.threads < 1:
             raise InvalidConfig("threads must be >= 1")
+        # the layers' own rules, checked here once instead of in the first replication
+        for n in self.sample_sizes:
+            PanelBConfig(n=n, u_param=self.u_param)
+        check_folds(self.K, min(self.sample_sizes))
+        for j_star in self.j_star_list:
+            BasisSpec(family=self.basis_family, j_star=j_star, combination=self.combination)
+        TestConfig(alpha=self.alpha)
 
 
 @dataclass
@@ -94,33 +101,24 @@ def replication_seed(base_seed: int, panel: str, n: int, scenario, method: str,
 
 def _one_replication(task: tuple) -> bool:
     """Generate one dataset, run the requested test, return the decision."""
-    (panel, n, scenario, method, j_star, seed, K, nuisance_mode, alpha,
-     basis_family, combination, u_param) = task
-    if panel == "A":
+    cfg, n, scenario, method, j_star, seed = task
+    if cfg.panel == "A":
         dgp_cfg = PanelAConfig(n=n, alpha1=scenario[0], alpha2=scenario[1], seed=seed)
-        data = gen_panel_a(dgp_cfg)
-        oracle = oracle_nuisances_panel_a(dgp_cfg, a=0) if nuisance_mode == "oracle" else None
-        score = ScoreSpec(
-            kind=MEAN_EXCHANGEABILITY, arm=0,
-            nuisance_mode=nuisance_mode, oracle=oracle,
-        )
+        data, kind = gen_panel_a(dgp_cfg), MEAN_EXCHANGEABILITY
+        oracle = oracle_nuisances_panel_a(dgp_cfg, a=0) if cfg.nuisance_mode == "oracle" else None
     else:
-        dgp_cfg = PanelBConfig(
-            n=n, beta1=scenario[0], beta2=scenario[1], seed=seed, u_param=u_param
-        )
-        data = gen_panel_b(dgp_cfg)
-        oracle = oracle_nuisances_panel_b(dgp_cfg) if nuisance_mode == "oracle" else None
-        score = ScoreSpec(
-            kind=IV_COMPATIBILITY,
-            nuisance_mode=nuisance_mode, oracle=oracle,
-        )
+        dgp_cfg = PanelBConfig(n=n, beta1=scenario[0], beta2=scenario[1], seed=seed,
+                               u_param=cfg.u_param)
+        data, kind = gen_panel_b(dgp_cfg), IV_COMPATIBILITY
+        oracle = oracle_nuisances_panel_b(dgp_cfg) if cfg.nuisance_mode == "oracle" else None
+    score = ScoreSpec(kind=kind, nuisance_mode=cfg.nuisance_mode, oracle=oracle)
     basis_spec = BasisSpec(
-        family=basis_family, j_star=j_star, combination=combination,
+        family=cfg.basis_family, j_star=j_star, combination=cfg.combination,
         ranges=((-1.0, 1.0), (-1.0, 1.0)),
     )
-    config = TestConfig(alpha=alpha, seed=seed)
+    config = TestConfig(alpha=cfg.alpha, seed=seed)
     rng = RngStream(seed).spawn(1)  # fold assignment stream, distinct from the DGP's
-    result = run_gp_test(data, score, basis_spec, config, variant=method, K=K, rng=rng)
+    result = run_gp_test(data, score, basis_spec, config, variant=method, K=cfg.K, rng=rng)
     return bool(result.reject)
 
 
@@ -128,19 +126,14 @@ def run_cell(cfg: SimGridConfig, n: int, scenario, method: str, j_star: int,
              executor=None) -> dict:
     """Run R replications of one grid cell and summarize the rejection rate."""
     tasks = [
-        (
-            cfg.panel, n, scenario, method, j_star,
-            replication_seed(cfg.base_seed, cfg.panel, n, scenario, method, j_star, rep),
-            cfg.K, cfg.nuisance_mode, cfg.alpha, cfg.basis_family, cfg.combination, cfg.u_param,
-        )
+        (cfg, n, scenario, method, j_star,
+         replication_seed(cfg.base_seed, cfg.panel, n, scenario, method, j_star, rep))
         for rep in range(cfg.replications)
     ]
-    start = time.perf_counter()
     if executor is None:
         decisions = [_one_replication(t) for t in tasks]
     else:
         decisions = list(executor.map(_one_replication, tasks, chunksize=8))
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
     rate = float(np.mean(decisions))
     return {
         "panel": cfg.panel,
@@ -152,7 +145,6 @@ def run_cell(cfg: SimGridConfig, n: int, scenario, method: str, j_star: int,
         "rejection_rate": rate,
         "replications": cfg.replications,
         "mc_stderr": float(np.sqrt(rate * (1.0 - rate) / cfg.replications)),
-        "mean_runtime_ms": elapsed_ms / cfg.replications,
     }
 
 
@@ -194,54 +186,94 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
-def _parse_scenarios(text: str):
-    pairs = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip().strip("()")
-        if not chunk:
+def name(text: str) -> str:
+    if not text:
+        raise ValueError("empty name")
+    return text
+
+
+def listed(parse, sep: str = ","):
+    """Parser of a non-empty, ``sep``-separated list of ``parse`` values."""
+    def parse_list(text: str) -> tuple:
+        items = tuple(parse(p.strip()) for p in text.split(sep) if p.strip())
+        if not items:
+            raise ValueError("empty list")
+        return items
+    return parse_list
+
+
+def pair(text: str) -> tuple[float, float]:
+    parts = [p for p in text.strip("()").split(",") if p.strip()]
+    if len(parts) != 2:
+        raise ValueError(f"scenario {text!r} is not a pair")
+    return float(parts[0]), float(parts[1])
+
+
+def choice(options: tuple[str, ...]):
+    def parse(text: str) -> str:
+        if text not in options:
+            raise ValueError(f"choose from {options}")
+        return text
+    return parse
+
+
+def parse_config(text: str, keys, overrides: dict | None = None) -> dict:
+    """Read config text plus raw-string overrides through a table of keys.
+
+    A row of ``keys`` is ``(key, parse, owner, field)``: ``parse(raw)`` becomes
+    keyword ``field`` of the owner tagged ``owner``, which keeps the default.
+    A class in ``OWNERS`` is built after each of its keys; if the build from all
+    of them fails, the error names the key from which on every build failed.
+    Returns ``{owner: {field: value}}``.
+    """
+    kv = parse_config_text(text)
+    kv.update({k: str(v) for k, v in (overrides or {}).items() if v is not None})
+    unknown = set(kv) - {row[0] for row in keys}
+    if unknown:
+        raise InvalidConfig(f"unknown config keys: {sorted(unknown)}")
+    out = {row[2]: {} for row in keys}
+    failing = {}  # owner -> [first key of its failing run, latest error]
+    for key, parse, owner, field_name in keys:
+        if key not in kv:
             continue
-        parts = [p for p in chunk.split(",") if p.strip()]
-        if len(parts) != 2:
-            raise InvalidConfig(f"scenario {chunk!r} is not a pair")
-        pairs.append((float(parts[0]), float(parts[1])))
-    if not pairs:
-        raise InvalidConfig("no scenarios given")
-    return tuple(pairs)
+        try:
+            out[owner][field_name] = parse(kv[key])
+        except (ValueError, GptestError) as exc:
+            raise InvalidConfig(f"{key} = {kv[key]!r}: {exc}") from None
+        if owner in OWNERS:
+            try:
+                OWNERS[owner](**out[owner])
+                failing.pop(owner, None)
+            except GptestError as exc:
+                failing.setdefault(owner, [key, None])[1] = exc
+    if failing:
+        key, exc = next(iter(failing.values()))
+        raise InvalidConfig(f"{key} = {kv[key]!r}: {exc}")
+    return out
 
 
-def _parse_int_list(text: str):
-    return tuple(int(p) for p in text.split(",") if p.strip())
+# Classes whose own checks validate a table's values, by owner tag.
+OWNERS = {"score": ScoreSpec, "basis": BasisSpec, "test": TestConfig, "grid": SimGridConfig}
+
+# `gptest simulate` keys; folds precede sample sizes, so `folds = 1` is blamed on folds.
+SIM_KEYS = (
+    ("panel", str.upper, "grid", "panel"),
+    ("folds", int, "grid", "K"),
+    ("sample_sizes", listed(int), "grid", "sample_sizes"),
+    ("scenarios", listed(pair, ";"), "grid", "scenarios"),
+    ("j_star", listed(int), "grid", "j_star_list"),
+    ("methods", listed(str), "grid", "methods"),
+    ("replications", int, "grid", "replications"),
+    ("seed", int, "grid", "base_seed"),
+    ("nuisance", str, "grid", "nuisance_mode"),
+    ("alpha", float, "grid", "alpha"),
+    ("basis_family", str, "grid", "basis_family"),
+    ("combination", str, "grid", "combination"),
+    ("u_param", str, "grid", "u_param"),
+    ("threads", int, "grid", "threads"),
+)
 
 
 def sim_config_from_text(text: str, overrides: dict | None = None) -> SimGridConfig:
     """Build a SimGridConfig from config-file text plus CLI overrides."""
-    kv = parse_config_text(text)
-    if overrides:
-        kv.update({k: str(v) for k, v in overrides.items() if v is not None})
-    known = {
-        "panel", "sample_sizes", "scenarios", "j_star", "methods",
-        "replications", "seed", "folds", "nuisance", "alpha", "basis_family",
-        "combination", "u_param", "threads",
-    }
-    unknown = set(kv) - known
-    if unknown:
-        raise InvalidConfig(f"unknown config keys: {sorted(unknown)}")
-    try:
-        return SimGridConfig(
-            panel=kv.get("panel", "A").upper(),
-            sample_sizes=_parse_int_list(kv["sample_sizes"]) if "sample_sizes" in kv else (250, 500, 1000),
-            scenarios=_parse_scenarios(kv["scenarios"]) if "scenarios" in kv else ((0.0, 0.0),),
-            j_star_list=_parse_int_list(kv["j_star"]) if "j_star" in kv else (3,),
-            methods=tuple(m.strip() for m in kv.get("methods", GP_STANDARDIZED).split(",")),
-            replications=int(kv.get("replications", 500)),
-            base_seed=int(kv.get("seed", 20260826)),
-            K=int(kv.get("folds", 5)),
-            nuisance_mode=kv.get("nuisance", "crossfit"),
-            alpha=float(kv.get("alpha", 0.05)),
-            basis_family=kv.get("basis_family", LEGENDRE),
-            combination=kv.get("combination", ADDITIVE),
-            u_param=kv.get("u_param", "var"),
-            threads=int(kv.get("threads", 1)),
-        )
-    except ValueError as exc:
-        raise InvalidConfig(f"bad config value: {exc}") from None
+    return SimGridConfig(**parse_config(text, SIM_KEYS, overrides)["grid"])

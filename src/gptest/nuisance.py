@@ -186,10 +186,16 @@ def fit_logistic(features: np.ndarray, y: np.ndarray) -> LinearFit:
     return LinearFit(coefficients=beta[0], link="logit", converged=bool(converged[0]))
 
 
+def check_folds(K: int, n: int | None = None) -> int:
+    """Return K if it is at least 2 and, when the row count n is given, at most n."""
+    if K < 2 or (n is not None and K > n):
+        raise InvalidInput(f"need 2 <= K <= n, got K={K}" + ("" if n is None else f", n={n}"))
+    return K
+
+
 def make_folds(n: int, K: int, rng: RngStream) -> np.ndarray:
     """Fold index of each row: a random permutation chunked into K near-equal folds."""
-    if not (2 <= K <= n):
-        raise InvalidInput(f"need 2 <= K <= n, got K={K}, n={n}")
+    check_folds(K, n)
     sizes = np.full(K, n // K)
     sizes[: n % K] += 1
     fold_of = np.empty(n, dtype=int)

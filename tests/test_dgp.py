@@ -226,7 +226,7 @@ class TestCsvRoundTrip:
             ("X1,Y\n0.5,1.0\n0.1,NA\n", "non-numeric cell 'NA' at row 2, column 'Y'"),
             ("X1,Y\n0.5,\n", "non-numeric cell '' at row 1, column 'Y'"),
             ("X1,Y\n#2,1\n", "non-numeric cell '#2' at row 1, column 'X1'"),
-            ("X1,Y\n1,2\n1_0,3\n", "cannot parse .* as numeric CSV: .*'1_0'"),
+            ("X1,Y\n1,2\n1_0,3\n", "cannot parse .* as numeric CSV: .*'1_0' .*at row 2, column 1"),
             ("X1,X2,X1\n1,2,3\n", "duplicate column name 'X1'"),
             ("X1,,Y\n1,2,3\n", "empty column name at position 2"),
             ("X1,Y,\n1,2,3\n", "empty column name at position 3"),

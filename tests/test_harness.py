@@ -1,14 +1,18 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gptest.cli import main
+from gptest.cli import TEST_KEYS, main
 from gptest.dgp import Dataset, PanelAConfig, gen_panel_a, read_csv, write_csv
 from gptest.errors import InvalidConfig
 from gptest.harness import (
+    SIM_KEYS,
     SimGridConfig,
     TABLE_HEADER,
+    parse_config,
     parse_config_text,
     replication_seed,
     run_cell,
@@ -18,6 +22,8 @@ from gptest.harness import (
 from gptest.nuisance import crossfit
 from gptest.numerics import RngStream
 from gptest.scores import ScoreSpec
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestConfigParsing:
@@ -54,7 +60,7 @@ class TestConfigParsing:
             sim_config_from_text("mystery = 1\n")
 
     def test_bad_value_rejected(self):
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(InvalidConfig, match="^replications = 'soon': invalid literal"):
             sim_config_from_text("replications = soon\n")
 
     def test_bad_scenario_rejected(self):
@@ -72,6 +78,35 @@ class TestConfigParsing:
     def test_unknown_method_rejected(self):
         with pytest.raises(InvalidConfig):
             SimGridConfig(methods=("gp_standardized", "anova"))
+
+    @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.cfg")), ids=lambda p: p.stem)
+    def test_shipped_config_parses(self, path):
+        keys = TEST_KEYS if path.stem == "test_me" else SIM_KEYS
+        assert parse_config(path.read_text(), keys)
+
+    def test_folds_checked_against_given_sample_sizes(self):
+        assert sim_config_from_text("sample_sizes = 1000\nfolds = 300\n").K == 300
+        cfg = sim_config_from_text("sample_sizes = 4\nfolds = 2\nnuisance = oracle\n")
+        assert (cfg.sample_sizes, cfg.K) == ((4,), 2)
+        with pytest.raises(InvalidConfig, match="^folds = '300': .*K=300, n=100$"):
+            sim_config_from_text("sample_sizes = 100, 1000\nfolds = 300\n")
+        with pytest.raises(InvalidConfig, match="^folds = '1': .*K=1, n=4$"):
+            sim_config_from_text("sample_sizes = 4\nfolds = 1\n")
+
+    def test_readme_key_table_matches_code(self):
+        readme = (ROOT / "README.md").read_text()
+        table = {}
+        for line in readme.splitlines():
+            cells = [c.strip() for c in line.strip().strip("|").split("|")]
+            if line.startswith("| `") and len(cells) == 4:
+                for key in re.findall(r"`([a-z0-9_]+)`", cells[0]):
+                    table[key] = cells[1]
+        commands = {"test": {row[0] for row in TEST_KEYS}, "simulate": {row[0] for row in SIM_KEYS}}
+        expected = {
+            key: "both" if key in commands["test"] & commands["simulate"] else command
+            for command, keys in commands.items() for key in keys
+        }
+        assert table == expected
 
 
 class TestReplicationSeed:
@@ -243,8 +278,9 @@ class TestCli:
             ("folds = 1", "K=1"),
             ("mc_draws = 100000", "mc_draws"),
             ("combination = tensor\nj_star = 30", "J=900"),
+            ("covariates =", "covariates = '': empty list"),
         ],
-        ids=["arm", "j_star", "alpha", "folds", "mc_draws", "J_not_below_n"],
+        ids=["arm", "j_star", "alpha", "folds", "mc_draws", "J_not_below_n", "covariates"],
     )
     def test_bad_config_value_exits_2(self, capsys, panel_a_csv, tmp_path, line, message):
         cfg = tmp_path / "bad.cfg"
@@ -280,6 +316,35 @@ class TestCli:
         out = tmp_path / "rates.csv"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
 
+    def test_simulate_same_bytes_for_one_and_two_threads(self, capsys, tmp_path):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(
+            "panel = A\nsample_sizes = 250\nscenarios = 0,0; 0.2,0\n"
+            "methods = gp_standardized, wald\nreplications = 2\nnuisance = oracle\n"
+        )
+        written = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"rates_{threads}.csv"
+            assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                         "--threads", threads]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+        assert "wrote 4 rows" in capsys.readouterr().out
+
+    def test_bad_gptest_threads_exits_2(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("GPTEST_THREADS", "abc")
+        assert main(["basis-check"]) == 0
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("sample_sizes = 250\nreplications = 1\nnuisance = oracle\n")
+        out = tmp_path / "rates.csv"
+        argv = ["simulate", "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: GPTEST_THREADS: threads = 'abc': ")
+        assert not out.exists()
+        assert main(argv + ["--threads", "1"]) == 0  # the flag wins over the variable
+        monkeypatch.setenv("GPTEST_THREADS", "0")  # 0 means unset
+        assert main(argv) == 0
+
     def test_basis_check_output(self, capsys):
         assert main(["basis-check", "--family", "legendre", "--jstar", "3"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -288,3 +353,63 @@ class TestCli:
 
     def test_missing_data_file_exits_2(self, capsys, test_config_file):
         assert main(["test", "--data", "/no/such.csv", "--config", test_config_file]) == 2
+
+
+# One unparseable or out-of-range value per key of each command.
+BAD_TEST_VALUES = [
+    ("score", "score = anova"),
+    ("arm", "arm = x"),
+    ("covariates", "covariates ="),
+    ("clip_propensity", "clip_propensity = 0.5"),
+    ("clip_denominator", "clip_denominator = 0"),
+    *((f"{role}_col", f"{role}_col =") for role in ("y", "a", "s", "d", "z1", "z2", "z")),
+    ("variant", "variant = anova"),
+    ("folds", "folds = 2.5"),
+    ("folds", "folds = 1"),
+    ("basis_family", "basis_family = hermite"),
+    ("j_star", "j_star = x"),
+    ("combination", "combination = diagonal"),
+    ("alpha", "alpha = x"),
+    ("seed", "seed = 1.5"),
+]
+BAD_SIM_VALUES = [
+    ("panel", "panel = C"),
+    ("sample_sizes", "sample_sizes = 0"),
+    ("scenarios", "scenarios = 1,2,3"),
+    ("j_star", "j_star = x"),
+    ("methods", "methods = anova"),
+    ("replications", "replications = 0"),
+    ("seed", "seed = x"),
+    ("folds", "folds = 2.5"),
+    ("folds", "nuisance = oracle\nfolds = 1"),
+    ("nuisance", "nuisance = magic"),
+    ("alpha", "alpha = 1"),
+    ("basis_family", "basis_family = hermite"),
+    ("combination", "combination = diagonal"),
+    ("u_param", "panel = A\nu_param = foo"),
+    ("threads", "threads = 0"),
+]
+
+
+def test_bad_values_cover_every_key():
+    assert {key for key, _ in BAD_TEST_VALUES} == {row[0] for row in TEST_KEYS}
+    assert {key for key, _ in BAD_SIM_VALUES} == {row[0] for row in SIM_KEYS}
+
+
+@pytest.mark.parametrize(
+    "command, key, text",
+    [("test", key, text) for key, text in BAD_TEST_VALUES]
+    + [("simulate", key, text) for key, text in BAD_SIM_VALUES],
+    ids=lambda v: v.replace("\n", "; ") if isinstance(v, str) else v,
+)
+def test_bad_value_exits_2_naming_key(capsys, tmp_path, panel_a_csv, command, key, text):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text + "\n")
+    out = tmp_path / "rates.csv"
+    if command == "test":
+        argv = ["test", "--data", panel_a_csv, "--config", str(cfg)]
+    else:
+        argv = ["simulate", "--config", str(cfg), "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key} = ")
+    assert not out.exists()  # refused before any replication ran
