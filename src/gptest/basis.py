@@ -8,7 +8,6 @@ rescaled to [-1, 1] before evaluation.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,30 +76,30 @@ class DesignMatrix:
         return self.values.shape[1]
 
 
+def _legendre(x: np.ndarray, j_max: int) -> list[np.ndarray]:
+    """Classical Legendre polynomials P_0(x), ..., P_{j_max}(x) of x in [-1, 1].
+
+    One pass of the three-term recurrence gives every degree.
+    """
+    if j_max > _MAX_DEGREE:
+        raise InvalidInput(f"degree {j_max} exceeds recurrence budget {_MAX_DEGREE}")
+    p = [np.ones_like(x), x][: j_max + 1]
+    for k in range(1, j_max):
+        p.append(((2 * k + 1) * x * p[k] - k * p[k - 1]) / (k + 1))
+    return p
+
+
 def legendre_orthonormal(j: int, x):
     """Orthonormal Legendre polynomial p_j on [-1, 1].
 
     p_j = sqrt(2j + 1) * P_j with P_j the classical Legendre polynomial
     from the three-term recurrence; the scaling makes (1/2) * int p_j^2 = 1.
     """
-    if j > _MAX_DEGREE:
-        raise InvalidInput(f"degree {j} exceeds recurrence budget {_MAX_DEGREE}")
     x = np.clip(np.asarray(x, dtype=float), -1.0, 1.0)
-    if j == 0:
-        return np.ones_like(x)
-    p_prev = np.ones_like(x)
-    p_cur = x.copy()
-    for k in range(1, j):
-        p_prev, p_cur = p_cur, ((2 * k + 1) * x * p_cur - k * p_prev) / (k + 1)
-    return np.sqrt(2.0 * j + 1.0) * p_cur
+    return np.sqrt(2.0 * j + 1.0) * _legendre(x, j)[j]
 
 
-def fourier_basis(j: int, x):
-    """Orthonormal Fourier element on [-1, 1].
-
-    j=0 -> 1; j=2k-1 -> sqrt(2) cos(k pi x); j=2k -> sqrt(2) sin(k pi x).
-    """
-    x = np.clip(np.asarray(x, dtype=float), -1.0, 1.0)
+def _fourier(j: int, x: np.ndarray) -> np.ndarray:
     if j == 0:
         return np.ones_like(x)
     k = (j + 1) // 2
@@ -109,10 +108,28 @@ def fourier_basis(j: int, x):
     return np.sqrt(2.0) * np.sin(k * np.pi * x)
 
 
-def _eval_1d(family: str, j: int, x):
+def fourier_basis(j: int, x):
+    """Orthonormal Fourier element on [-1, 1].
+
+    j=0 -> 1; j=2k-1 -> sqrt(2) cos(k pi x); j=2k -> sqrt(2) sin(k pi x).
+    """
+    return _fourier(j, np.clip(np.asarray(x, dtype=float), -1.0, 1.0))
+
+
+def _axis_design(family: str, z: np.ndarray, j_star: int) -> np.ndarray:
+    """n x J* array of b_0(z), ..., b_{J*-1}(z) for z in [-1, 1].
+
+    Legendre columns share one recurrence pass; Fourier columns are one
+    cos or sin call each.
+    """
+    out = np.empty((z.shape[0], j_star))
     if family == LEGENDRE:
-        return legendre_orthonormal(j, x)
-    return fourier_basis(j, x)
+        for j, p in enumerate(_legendre(z, j_star - 1)):
+            np.multiply(np.sqrt(2.0 * j + 1.0), p, out=out[:, j])
+    else:
+        for j in range(j_star):
+            out[:, j] = _fourier(j, z)
+    return out
 
 
 def _rescale(x: np.ndarray, lo: float, hi: float, axis_idx: int) -> np.ndarray:
@@ -142,27 +159,15 @@ def build_design(x_matrix, spec: BasisSpec) -> DesignMatrix:
         raise InvalidInput(
             f"covariate matrix is {n}x{d}, spec declares {spec.dim} covariates"
         )
-    z = np.column_stack(
-        [
-            _rescale(x_matrix[:, k], spec.ranges[k][0], spec.ranges[k][1], k)
-            for k in range(d)
-        ]
-    )
+    z = [_rescale(x_matrix[:, k], lo, hi, k) for k, (lo, hi) in enumerate(spec.ranges)]
+    axes = [_axis_design(spec.family, z_k, spec.j_star) for z_k in z]
     if spec.combination == ADDITIVE:
-        cols = [np.ones(n)]
-        for k in range(d):
-            for j in range(1, spec.j_star):
-                cols.append(_eval_1d(spec.family, j, z[:, k]))
+        values = np.hstack([axes[0][:, :1]] + [axis[:, 1:] for axis in axes])
     else:
-        per_axis = [
-            [_eval_1d(spec.family, j, z[:, k]) for j in range(spec.j_star)]
-            for k in range(d)
-        ]
-        cols = [
-            np.prod(np.stack([per_axis[k][jk] for k, jk in enumerate(degrees)]), axis=0)
-            for degrees in itertools.product(range(spec.j_star), repeat=d)
-        ]
-    return DesignMatrix(values=np.column_stack(cols), spec=spec)
+        values = axes[0]
+        for axis in axes[1:]:  # the last covariate's degree varies fastest
+            values = (values[:, :, None] * axis[:, None, :]).reshape(n, -1)
+    return DesignMatrix(values=values, spec=spec)
 
 
 def basis_bound_diagnostics(spec: BasisSpec, grid_points: int = 1001):
@@ -174,14 +179,9 @@ def basis_bound_diagnostics(spec: BasisSpec, grid_points: int = 1001):
     """
     grid = np.linspace(-1.0, 1.0, grid_points)
     if spec.combination == ADDITIVE:
-        per_fn_sup = [1.0]
-        sq_sum = np.zeros(grid_points)
-        for j in range(1, spec.j_star):
-            vals = _eval_1d(spec.family, j, grid)
-            per_fn_sup.append(float(np.max(np.abs(vals))))
-            sq_sum += vals ** 2
-        xi_hat = max(per_fn_sup)
-        omega_hat = float(np.sqrt(1.0 + spec.dim * np.max(sq_sum)))
+        vals = _axis_design(spec.family, grid, spec.j_star)
+        xi_hat = float(np.max(np.abs(vals)))
+        omega_hat = float(np.sqrt(1.0 + spec.dim * np.max(np.sum(vals[:, 1:] ** 2, axis=1))))
         return xi_hat, omega_hat
     if spec.dim > 3:
         raise Unsupported("tensor-product grid diagnostics limited to d <= 3")

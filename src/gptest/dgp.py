@@ -53,7 +53,7 @@ class Dataset:
             if name not in self.columns:
                 raise SchemaError(f"declared binary column {name!r} is missing")
             vals = self.columns[name]
-            bad = ~np.isin(vals, (0.0, 1.0))
+            bad = (vals != 0.0) & (vals != 1.0)
             if np.any(bad):
                 row = int(np.argmax(bad))
                 raise SchemaError(
@@ -101,10 +101,22 @@ class PanelBConfig:
 
 
 def _panel_a_outcome_mean(x1, x2, s, a, alpha1, alpha2):
-    """E[Y | A=a, S=s, X]; misalignment terms enter only in the S=1 source."""
-    base = x1 + x2 + expit(x1)
-    shift = s * (alpha1 * (np.cos(np.pi * x1) + np.cos(np.pi * x2)) + alpha2 * (x1 + x2))
-    return base + shift + a * (2.0 * x1 - 2.0 * x2)
+    """E[Y | A=a, S=s, X]; misalignment terms enter only in the S=1 source.
+
+    A term whose factor (s, a, alpha1 or alpha2) is zero is left out: it
+    would only add a signed zero to a nonzero mean.
+    """
+    mean = x1 + x2 + expit(x1)
+    if (alpha1 or alpha2) and np.any(s):
+        shift = 0.0
+        if alpha1:
+            shift = alpha1 * (np.cos(np.pi * x1) + np.cos(np.pi * x2))
+        if alpha2:
+            shift = shift + alpha2 * (x1 + x2)
+        mean = mean + s * shift
+    if a:
+        mean = mean + a * (2.0 * x1 - 2.0 * x2)
+    return mean
 
 
 def gen_panel_a(cfg: PanelAConfig) -> Dataset:
@@ -118,7 +130,7 @@ def gen_panel_a(cfg: PanelAConfig) -> Dataset:
     eps = rng.normal(cfg.n)
     y0 = _panel_a_outcome_mean(x1, x2, s, 0.0, cfg.alpha1, cfg.alpha2) + 0.5 * eps
     y1 = y0 + 2.0 * x1 - 2.0 * x2
-    y = a * y1 + (1.0 - a) * y0
+    y = np.where(a == 1.0, y1, y0)
     return Dataset(
         columns={"X1": x1, "X2": x2, "S": s, "A": a, "Y": y},
         binary=PANEL_A_BINARY,
@@ -185,12 +197,16 @@ def _treatment_from_stratum(z1, z2, stratum):
 
 
 def _sco2_effect(x1, x2, beta1, beta2):
-    """Treatment effect in the SCO2 stratum; other complier strata get -2*X1."""
-    return (
-        -2.0 * x1
-        + beta1 * (np.cos(np.pi * x1) + np.cos(np.pi * x2))
-        + beta2 * (x1 + x2)
-    )
+    """Treatment effect in the SCO2 stratum; other complier strata get -2*X1.
+
+    As in the Panel A mean, a term with a zero coefficient is left out.
+    """
+    effect = -2.0 * x1
+    if beta1:
+        effect = effect + beta1 * (np.cos(np.pi * x1) + np.cos(np.pi * x2))
+    if beta2:
+        effect = effect + beta2 * (x1 + x2)
+    return effect
 
 
 def _u_sd(cfg: PanelBConfig) -> float:

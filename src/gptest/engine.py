@@ -233,6 +233,12 @@ def wald_projection_test(x_features, g, alpha: float = 0.05) -> TestResult:
 _RIDGE = 1e-10
 
 
+def check_basis_columns(J: int, n: int) -> None:
+    """Refuse a projection design of J columns on n rows unless J < n."""
+    if J >= n:
+        raise InvalidInput(f"basis has J={J} columns for n={n} rows; need J < n")
+
+
 def run_gp_test(
     data: Dataset,
     score: ScoreSpec,
@@ -254,8 +260,7 @@ def run_gp_test(
         result = wald_projection_test(with_intercept(x), g, alpha=config.alpha)
     else:
         design = build_design(x, basis_spec)
-        if design.J >= design.n:
-            raise InvalidInput(f"basis has J={design.J} columns for n={design.n} rows; need J < n")
+        check_basis_columns(design.J, design.n)
         if variant == GP_STANDARDIZED:
             result = gp_test_standardized(design, g, config)
         else:

@@ -18,7 +18,9 @@ from .basis import ADDITIVE, BasisSpec, LEGENDRE
 from .engine import (
     GP_STANDARDIZED,
     METHODS,
+    WALD_PROJECTION,
     TestConfig,
+    check_basis_columns,
     run_gp_test,
 )
 from .errors import GptestError, InvalidConfig
@@ -75,8 +77,11 @@ class SimGridConfig:
         for n in self.sample_sizes:
             PanelBConfig(n=n, u_param=self.u_param)
         check_folds(self.K, min(self.sample_sizes))
+        projection = any(m != WALD_PROJECTION for m in self.methods)
         for j_star in self.j_star_list:
-            BasisSpec(family=self.basis_family, j_star=j_star, combination=self.combination)
+            spec = BasisSpec(family=self.basis_family, j_star=j_star, combination=self.combination)
+            if projection:
+                check_basis_columns(spec.n_columns, min(self.sample_sizes))
         TestConfig(alpha=self.alpha)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gammaincc, ndtr
@@ -70,16 +71,20 @@ def psd_sqrt(a) -> np.ndarray:
 class RngStream:
     """Seeded random stream; identical seeds reproduce identical draws.
 
-    Thin wrapper over numpy's PCG64 generator.  Normal draws use numpy's
-    ziggurat algorithm, which is fixed for a given numpy version, so all
-    sequences are bit-reproducible within one build.  A stream is
-    single-owner; use :meth:`spawn` to derive independent child streams
-    for parallel work.
+    Thin wrapper over numpy's PCG64 generator, which is built on the first
+    draw, so a stream that is never drawn from (one that only spawns
+    children, say) costs no generator.  Normal draws use numpy's ziggurat
+    algorithm, which is fixed for a given numpy version, so all sequences
+    are bit-reproducible within one build.  A stream is single-owner; use
+    :meth:`spawn` to derive independent child streams for parallel work.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
+
+    @cached_property
+    def _gen(self) -> np.random.Generator:
+        return np.random.Generator(np.random.PCG64(self.seed))
 
     def uniform(self, size=None):
         return self._gen.random(size)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,37 @@ class TestBuildDesign:
         design = build_design(x, BasisSpec(j_star=4)).values
         gram = design.T @ design / design.shape[0]
         assert np.linalg.norm(gram - np.eye(design.shape[1]), 2) < 0.05
+
+
+def reference_design(x, spec):
+    """Column-by-column design from the public one-degree functions."""
+    fn = legendre_orthonormal if spec.family == "legendre" else fourier_basis
+    z = [2.0 * (x[:, k] - lo) / (hi - lo) - 1.0 for k, (lo, hi) in enumerate(spec.ranges)]
+    if spec.combination == ADDITIVE:
+        cols = [np.ones(len(x))] + [fn(j, z_k) for z_k in z for j in range(1, spec.j_star)]
+    else:
+        cols = [
+            np.prod(np.stack([fn(j, z[k]) for k, j in enumerate(degrees)]), axis=0)
+            for degrees in itertools.product(range(spec.j_star), repeat=len(z))
+        ]
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("j_star", [1, 2, 5])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("combination", [ADDITIVE, TENSOR])
+@pytest.mark.parametrize("family", ["legendre", "fourier"])
+def test_design_bit_identical_to_per_degree_reference(family, combination, d, j_star):
+    ranges = ((-1.0, 1.0), (0.0, 3.0), (-2.0, -0.5))[:d]
+    rng = np.random.default_rng(d * 10 + j_star)
+    x = np.column_stack([rng.uniform(lo, hi, size=40) for lo, hi in ranges])
+    x[0] = [lo for lo, _ in ranges]
+    x[1] = [hi for _, hi in ranges]
+    x[2] = [hi + 1e-10 * (hi - lo) for lo, hi in ranges]  # within the slack, clipped
+    spec = BasisSpec(family=family, j_star=j_star, combination=combination, ranges=ranges)
+    values = build_design(x, spec).values
+    assert values.flags.c_contiguous
+    assert np.array_equal(values, reference_design(x, spec))
 
 
 class TestBoundDiagnostics:

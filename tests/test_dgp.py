@@ -7,6 +7,7 @@ from gptest.dgp import (
     Dataset,
     PanelAConfig,
     PanelBConfig,
+    _sco2_effect,
     _stratum_probs,
     expit,
     gen_panel_a,
@@ -17,12 +18,19 @@ from gptest.dgp import (
     write_csv,
 )
 from gptest.errors import SchemaError
+from gptest.numerics import RngStream
 
 
 class TestDataset:
     def test_binary_violation(self):
         with pytest.raises(SchemaError, match="binary"):
             Dataset(columns={"A": np.array([0.0, 2.0])}, binary=("A",))
+
+    @pytest.mark.parametrize("bad", [2.0, 0.5])
+    def test_binary_violation_located(self, bad):
+        a = np.array([1.0, 0.0, bad, 0.0])
+        with pytest.raises(SchemaError, match=rf"binary column 'A' has value .*{bad}.* at row 2$"):
+            Dataset(columns={"S": np.zeros(4), "A": a}, binary=("S", "A"))
 
     def test_length_mismatch(self):
         with pytest.raises(SchemaError):
@@ -87,6 +95,64 @@ class TestPanelA:
         x = rng.uniform(-1, 1, size=(20, 2))
         expected = x[:, 0] + x[:, 1] + expit(x[:, 0])
         assert np.allclose(nb["mu_s0"](x), expected, atol=1e-12)
+
+
+def all_terms_mean(x1, x2, s, a, alpha1, alpha2):
+    """E[Y | A=a, S=s, X] with every term evaluated, zero factors included."""
+    base = x1 + x2 + expit(x1)
+    shift = s * (alpha1 * (np.cos(np.pi * x1) + np.cos(np.pi * x2)) + alpha2 * (x1 + x2))
+    return base + shift + a * (2.0 * x1 - 2.0 * x2)
+
+
+ALPHAS = [(0.0, 0.0), (0.2, 0.0), (0.0, 0.3)]
+
+
+class TestAllTermsReference:
+    """The generators and oracles skip zero terms; values stay bit for bit."""
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_generator_columns(self, alpha):
+        cfg = PanelAConfig(n=2000, alpha1=alpha[0], alpha2=alpha[1], seed=12)
+        rng = RngStream(cfg.seed)
+        x1 = 2.0 * rng.uniform(cfg.n) - 1.0
+        x2 = 2.0 * rng.uniform(cfg.n) - 1.0
+        s = (rng.uniform(cfg.n) < expit(x1 - x2)).astype(float)
+        p_a1 = s * expit(1.5 * x1 - 0.5 * x2) + (1.0 - s) * expit(x1 + 0.5 * x2)
+        a = (rng.uniform(cfg.n) < p_a1).astype(float)
+        y0 = all_terms_mean(x1, x2, s, 0.0, *alpha) + 0.5 * rng.normal(cfg.n)
+        y1 = y0 + 2.0 * x1 - 2.0 * x2
+        expected = {"X1": x1, "X2": x2, "S": s, "A": a, "Y": a * y1 + (1.0 - a) * y0}
+        data = gen_panel_a(cfg)
+        assert list(data.columns) == list(expected)
+        for name, column in expected.items():
+            assert np.array_equal(data.col(name), column), name
+
+    @pytest.mark.parametrize("arm", [0, 1])
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_oracle_arrays(self, alpha, arm):
+        cfg = PanelAConfig(n=10, alpha1=alpha[0], alpha2=alpha[1])
+        x = np.random.default_rng(arm).uniform(-1, 1, size=(2000, 2))
+        x1, x2 = x[:, 0], x[:, 1]
+        ps1 = expit(x1 - x2)
+        pa1 = {1: expit(1.5 * x1 - 0.5 * x2), 0: expit(x1 + 0.5 * x2)}
+        expected = {
+            "pi_s1": ps1 * (pa1[1] if arm == 1 else 1.0 - pa1[1]),
+            "pi_s0": (1.0 - ps1) * (pa1[0] if arm == 1 else 1.0 - pa1[0]),
+            "mu_s1": all_terms_mean(x1, x2, 1.0, float(arm), *alpha),
+            "mu_s0": all_terms_mean(x1, x2, 0.0, float(arm), *alpha),
+        }
+        bundle = oracle_nuisances_panel_a(cfg, a=arm)
+        assert set(bundle) == set(expected)
+        for key, values in expected.items():
+            assert np.array_equal(bundle[key](x), values), key
+
+    @pytest.mark.parametrize("beta", [(0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (0.5, -0.3)])
+    def test_panel_b_sco2_effect(self, beta):
+        """Panel B's generator and oracle share this effect; it skips zero terms too."""
+        x1, x2 = np.random.default_rng(7).uniform(-1, 1, size=(2, 2000))
+        cosines = np.cos(np.pi * x1) + np.cos(np.pi * x2)
+        expected = -2.0 * x1 + beta[0] * cosines + beta[1] * (x1 + x2)
+        assert np.array_equal(_sco2_effect(x1, x2, *beta), expected)
 
 
 class TestPanelB:

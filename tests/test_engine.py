@@ -10,6 +10,7 @@ from gptest.dgp import PanelAConfig, gen_panel_a, oracle_nuisances_panel_a
 from gptest.engine import (
     GP_STANDARDIZED,
     GP_UNSTANDARDIZED,
+    check_basis_columns,
     gp_test_standardized,
     gp_test_unstandardized,
     projection_vector,
@@ -331,6 +332,12 @@ class TestRunGpTest:
                 run_gp_test(data, score, spec, EngineConfig(), variant=variant)
         narrow = BasisSpec(j_star=14, combination="tensor")
         assert run_gp_test(data, score, narrow, EngineConfig()).J == 196
+
+    def test_basis_columns_must_be_fewer_than_rows(self):
+        check_basis_columns(199, 200)
+        message = "^basis has J=200 columns for n=200 rows; need J < n$"
+        with pytest.raises(InvalidInput, match=message):
+            check_basis_columns(200, 200)
 
     def test_to_dict_round_trip(self):
         import json

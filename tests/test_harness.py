@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import re
 from pathlib import Path
@@ -86,12 +87,22 @@ class TestConfigParsing:
 
     def test_folds_checked_against_given_sample_sizes(self):
         assert sim_config_from_text("sample_sizes = 1000\nfolds = 300\n").K == 300
-        cfg = sim_config_from_text("sample_sizes = 4\nfolds = 2\nnuisance = oracle\n")
+        cfg = sim_config_from_text("sample_sizes = 4\nfolds = 2\nj_star = 2\nnuisance = oracle\n")
         assert (cfg.sample_sizes, cfg.K) == ((4,), 2)
         with pytest.raises(InvalidConfig, match="^folds = '300': .*K=300, n=100$"):
             sim_config_from_text("sample_sizes = 100, 1000\nfolds = 300\n")
         with pytest.raises(InvalidConfig, match="^folds = '1': .*K=1, n=4$"):
             sim_config_from_text("sample_sizes = 4\nfolds = 1\n")
+
+    def test_basis_checked_against_smallest_sample_size(self):
+        text = "sample_sizes = 1000, 250\ncombination = tensor\nj_star = 15, 30\n"
+        message = "^combination = 'tensor': basis has J=900 columns for n=250 rows; need J < n$"
+        with pytest.raises(InvalidConfig, match=message):
+            sim_config_from_text(text)
+        with pytest.raises(InvalidConfig, match="J=5 columns for n=4 rows"):
+            sim_config_from_text("sample_sizes = 4\nfolds = 2\n")  # the default basis
+        assert sim_config_from_text(text + "methods = wald\n").methods == ("wald",)
+        assert sim_config_from_text("sample_sizes = 1000\ncombination = tensor\nj_star = 30\n")
 
     def test_readme_key_table_matches_code(self):
         readme = (ROOT / "README.md").read_text()
@@ -331,6 +342,28 @@ class TestCli:
         assert written[0] == written[1]
         assert "wrote 4 rows" in capsys.readouterr().out
 
+    def test_simulate_basis_wider_than_sample_refused_before_pool(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("panel = A\nsample_sizes = 250\ncombination = tensor\nj_star = 30\n")
+        out = tmp_path / "rates.csv"
+        argv = ["simulate", "--config", str(cfg), "--out", str(out), "--threads", "2"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: combination = 'tensor': basis has J=900 columns for n=250 rows; need J < n\n"
+        )
+        assert not out.exists()
+        # a wald-only grid builds no basis, so the same keys are accepted
+        with open(cfg, "a") as fh:
+            fh.write("methods = wald\nreplications = 2\nnuisance = oracle\n")
+        assert main(argv[:-2]) == 0
+        assert out.exists()
+
     def test_bad_gptest_threads_exits_2(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("GPTEST_THREADS", "abc")
         assert main(["basis-check"]) == 0
@@ -386,6 +419,7 @@ BAD_SIM_VALUES = [
     ("alpha", "alpha = 1"),
     ("basis_family", "basis_family = hermite"),
     ("combination", "combination = diagonal"),
+    ("combination", "sample_sizes = 250\ncombination = tensor\nj_star = 30"),
     ("u_param", "panel = A\nu_param = foo"),
     ("threads", "threads = 0"),
 ]

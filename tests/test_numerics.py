@@ -119,6 +119,23 @@ class TestRngStream:
         assert np.array_equal(child_a, child_b)
         assert not np.array_equal(child_a, RngStream(77).spawn(1).uniform(100))
 
+    @pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
+    def test_draws_equal_pcg64_generator(self, seed):
+        stream = RngStream(seed)
+        stream.spawn(3)  # spawning draws nothing from the parent
+        gen = np.random.Generator(np.random.PCG64(seed))
+        assert np.array_equal(stream.uniform(50), gen.random(50))
+        assert np.array_equal(stream.normal(50), gen.standard_normal(50))
+        assert np.array_equal(stream.permutation(40), gen.permutation(40))
+        assert np.array_equal(stream.uniform((3, 4)), gen.random((3, 4)))
+
+    @pytest.mark.parametrize(
+        "seed, index, child_seed",
+        [(77, 1, 0x3C6EF372FE94F867), (2**64 - 1, 4, 0xE8EA9F60838B9396)],
+    )
+    def test_spawn_child_seed_pinned(self, seed, index, child_seed):
+        assert RngStream(seed).spawn(index).seed == child_seed
+
 
 class TestGaussLegendre:
     def test_one_point(self):
