@@ -3,12 +3,14 @@
 Panel A: two-source data fusion with a binary treatment, used for the
 mean-exchangeability test.  Panel B: two binary instruments with five
 principal strata, used for the compatibility test.  Both generators
-ship analytic (oracle) nuisance functions.
+ship analytic (oracle) nuisances: one function of the covariate matrix
+that returns every nuisance's array.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,31 +140,28 @@ def gen_panel_a(cfg: PanelAConfig) -> Dataset:
     )
 
 
-def oracle_nuisances_panel_a(cfg: PanelAConfig, a: int = 0) -> dict:
-    """Analytic nuisance functions for Panel A, arm ``a``.
+def oracle_nuisances_panel_a(cfg: PanelAConfig, a: int = 0) -> Callable[[np.ndarray], dict]:
+    """Analytic nuisances for Panel A, arm ``a``, as one function of X.
 
-    Keys: pi_s1/pi_s0 = P(A=a, S=s | X); mu_s1/mu_s0 = E[Y | A=a, S=s, X].
-    Each maps an n x 2 covariate matrix to an n-vector.
+    The returned function maps an n x 2 covariate matrix to a dict of
+    n-vectors: pi_s1/pi_s0 = P(A=a, S=s | X) and mu_s1/mu_s0 =
+    E[Y | A=a, S=s, X].
     """
     a1, a2 = cfg.alpha1, cfg.alpha2
 
-    def pi(s):
-        def f(x):
-            x1, x2 = x[:, 0], x[:, 1]
-            ps1 = expit(x1 - x2)
-            pa1 = expit(1.5 * x1 - 0.5 * x2) if s == 1 else expit(x1 + 0.5 * x2)
-            ps = ps1 if s == 1 else 1.0 - ps1
-            return ps * (pa1 if a == 1 else 1.0 - pa1)
+    def nuisances(x):
+        x1, x2 = x[:, 0], x[:, 1]
+        ps1 = expit(x1 - x2)
+        pa1_s1 = expit(1.5 * x1 - 0.5 * x2)
+        pa1_s0 = expit(x1 + 0.5 * x2)
+        return {
+            "pi_s1": ps1 * (pa1_s1 if a == 1 else 1.0 - pa1_s1),
+            "pi_s0": (1.0 - ps1) * (pa1_s0 if a == 1 else 1.0 - pa1_s0),
+            "mu_s1": _panel_a_outcome_mean(x1, x2, 1.0, float(a), a1, a2),
+            "mu_s0": _panel_a_outcome_mean(x1, x2, 0.0, float(a), a1, a2),
+        }
 
-        return f
-
-    def mu(s):
-        def f(x):
-            return _panel_a_outcome_mean(x[:, 0], x[:, 1], float(s), float(a), a1, a2)
-
-        return f
-
-    return {"pi_s1": pi(1), "pi_s0": pi(0), "mu_s1": mu(1), "mu_s0": mu(0)}
+    return nuisances
 
 
 def _stratum_probs(x1, x2):
@@ -241,72 +240,46 @@ def gen_panel_b(cfg: PanelBConfig) -> Dataset:
     )
 
 
-def oracle_nuisances_panel_b(cfg: PanelBConfig) -> dict:
-    """Analytic nuisance functions for Panel B.
+def oracle_nuisances_panel_b(cfg: PanelBConfig) -> Callable[[np.ndarray], dict]:
+    """Analytic nuisances for Panel B as one function of X.
 
     All conditional means are closed-form: stratum membership is
     independent of U given X (common U-term cancels in the softmax), and
-    E[U] = -0.3.  Keys per instrument j in {1, 2}: pz{j} = P(Z_j=1 | X),
-    mu_d{j}_{z} = E[D | Z_j=z, X], mu_y{j}_{z} = E[Y | Z_j=z, X].
+    E[U] = -0.3.  The returned function maps an n x 2 covariate matrix to
+    a dict of n-vectors; keys per instrument j in {1, 2}: pz{j} =
+    P(Z_j=1 | X), mu_d{j}_{z} = E[D | Z_j=z, X], mu_y{j}_{z} =
+    E[Y | Z_j=z, X].  Given Z_j = z, the other instrument is 1 with its
+    own propensity, so each stratum treats with probability z (own strict
+    compliers), that propensity (the other's strict compliers), z times
+    it (RCO) or z + (1 - z) times it (ECO).
     """
     b1, b2 = cfg.beta1, cfg.beta2
 
-    def pz(j):
-        sign = 1.0 if j == 1 else -1.0
-
-        def f(x):
-            return expit(0.5 + 0.5 * x[:, 0] + sign * 0.5 * x[:, 1])
-
-        return f
-
-    def _pieces(x, j, z):
-        """Per-stratum E[D | Z_j=z, S, X] for the compliance strata."""
+    def nuisances(x):
         x1, x2 = x[:, 0], x[:, 1]
-        probs = _stratum_probs(x1, x2)
-        other = pz(2 if j == 1 else 1)(x)
-        own_sco = probs[:, 1] if j == 1 else probs[:, 2]     # own strict compliers
-        cross_sco = probs[:, 2] if j == 1 else probs[:, 1]   # other instrument's
-        d_own = float(z)
-        d_cross = other
-        d_rco = float(z) * other
-        d_eco = float(z) + (1.0 - float(z)) * other
-        return probs, own_sco, cross_sco, d_own, d_cross, d_rco, d_eco
-
-    def mu_d(j, z):
-        def f(x):
-            probs, own_sco, cross_sco, d_own, d_cross, d_rco, d_eco = _pieces(x, j, z)
-            return own_sco * d_own + cross_sco * d_cross + probs[:, 3] * d_rco + probs[:, 4] * d_eco
-
-        return f
-
-    def mu_y(j, z):
-        def f(x):
-            x1, x2 = x[:, 0], x[:, 1]
-            probs, own_sco, cross_sco, d_own, d_cross, d_rco, d_eco = _pieces(x, j, z)
-            base = 1.0 + x1 + x2 - 0.3
-            eff_lin = -2.0 * x1
-            eff_sco2 = _sco2_effect(x1, x2, b1, b2)
-            if j == 1:
-                lift = (
-                    (own_sco * d_own + probs[:, 3] * d_rco + probs[:, 4] * d_eco) * eff_lin
-                    + cross_sco * d_cross * eff_sco2
+        _, p_sco1, p_sco2, p_rco, p_eco = _stratum_probs(x1, x2).T
+        pz = {1: expit(0.5 + 0.5 * x1 + 0.5 * x2), 2: expit(0.5 + 0.5 * x1 - 0.5 * x2)}
+        base = 1.0 + x1 + x2 - 0.3
+        eff_lin = -2.0 * x1
+        eff_sco2 = _sco2_effect(x1, x2, b1, b2)
+        bundle = {}
+        for j, other in ((1, pz[2]), (2, pz[1])):
+            bundle[f"pz{j}"] = pz[j]
+            for z in (0, 1):
+                d_own = float(z)
+                d_sco1, d_sco2 = (d_own, other) if j == 1 else (other, d_own)
+                d_rco = d_own * other
+                d_eco = d_own + (1.0 - d_own) * other
+                bundle[f"mu_d{j}_{z}"] = (
+                    p_sco1 * d_sco1 + p_sco2 * d_sco2 + p_rco * d_rco + p_eco * d_eco
                 )
-            else:
-                lift = (
-                    (cross_sco * d_cross + probs[:, 3] * d_rco + probs[:, 4] * d_eco) * eff_lin
-                    + own_sco * d_own * eff_sco2
+                bundle[f"mu_y{j}_{z}"] = base + (
+                    (p_sco1 * d_sco1 + p_rco * d_rco + p_eco * d_eco) * eff_lin
+                    + p_sco2 * d_sco2 * eff_sco2
                 )
-            return base + lift
+        return bundle
 
-        return f
-
-    bundle = {}
-    for j in (1, 2):
-        bundle[f"pz{j}"] = pz(j)
-        for z in (0, 1):
-            bundle[f"mu_d{j}_{z}"] = mu_d(j, z)
-            bundle[f"mu_y{j}_{z}"] = mu_y(j, z)
-    return bundle
+    return nuisances
 
 
 def write_csv(data: Dataset, path: str) -> None:

@@ -11,7 +11,6 @@ Sigma-hat and comparing to the upper normal tail.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,37 +114,6 @@ def sigma_hat(design: DesignMatrix, g: np.ndarray, omega=None) -> np.ndarray:
         b = b @ psd_sqrt(_omega_or_identity(omega, design.J)).T
     weighted = b * g[:, None]
     return weighted.T @ weighted / design.n
-
-
-def weighted_chisq_pvalue(taus, s: float, draws: int, rng: RngStream) -> float:
-    """Monte Carlo upper-tail probability of sum_j tau_j chi2_j(1) at s.
-
-    Kept as the reference that tests check the exact tail against;
-    gp_test_unstandardized calibrates with numerics.chisq_mixture_sf.
-    """
-    taus = np.asarray(taus, dtype=float)
-    if draws < 10_000:
-        raise InvalidInput("need at least 1e4 Monte Carlo draws")
-    if np.any(taus < -1e-10 * max(1.0, np.abs(taus).max())):
-        raise InvalidInput("mixture weights must be nonnegative")
-    taus = np.clip(taus, 0.0, None)
-    if np.all(taus == 0.0):
-        if s > 0:
-            warnings.warn("all mixture weights are zero", RuntimeWarning)
-            return 0.0
-        return 1.0
-    if s <= 0:
-        return 1.0
-    # Chunked so J * draws never allocates more than ~8e6 doubles.
-    chunk = max(1, int(8e6 // max(1, len(taus))))
-    exceed = 0
-    done = 0
-    while done < draws:
-        m = min(chunk, draws - done)
-        mix = rng.chisq1((m, len(taus))) @ taus
-        exceed += int(np.sum(mix >= s))
-        done += m
-    return exceed / draws
 
 
 def _statistic_and_scale(design: DesignMatrix, g, config: TestConfig):

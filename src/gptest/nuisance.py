@@ -338,7 +338,7 @@ def crossfit(data: Dataset, spec: sc.ScoreSpec, K: int, rng: RngStream) -> Cross
     """
     x = data.covariate_matrix(spec.covariates)
     if spec.nuisance_mode == "oracle":
-        eta = {key: f(x) for key, f in spec.oracle.items()}
+        eta = spec.oracle(x)
         return CrossFitResult(sc.evaluate_score(data, eta, spec), None, eta)
     folds = _Folds(with_intercept(x), make_folds(data.n, K, rng), K)
     eta = _FITTERS[spec.kind](data, spec, folds)

@@ -92,9 +92,6 @@ class RngStream:
     def normal(self, size=None):
         return self._gen.standard_normal(size)
 
-    def chisq1(self, size=None):
-        return np.square(self._gen.standard_normal(size))
-
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 

@@ -3,12 +3,13 @@
 Each score maps a dataset plus a nuisance bundle to a vector of
 per-observation pseudo-outcomes g(O_i; eta).  A nuisance bundle maps
 each nuisance name to an array of its values, one per row of the
-dataset: the out-of-fold predictions from cross-fitting, or the oracle
-functions of :mod:`gptest.dgp` evaluated at the covariates.
+dataset: the out-of-fold predictions from cross-fitting, or an oracle
+of :mod:`gptest.dgp` evaluated at the covariates.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +41,8 @@ class ScoreSpec:
     clip_propensity: float = 0.01
     clip_denominator: float = 0.05
     nuisance_mode: str = "crossfit"  # "crossfit" or "oracle"
-    oracle: dict | None = None
+    # oracle mode: covariate matrix -> nuisance bundle, one array per key
+    oracle: Callable[[np.ndarray], dict] | None = None
 
     _DEFAULT_COLUMNS = {
         "y": "Y", "a": "A", "s": "S", "d": "D",
@@ -56,8 +58,11 @@ class ScoreSpec:
             raise InvalidInput("clip_denominator must be positive")
         if self.nuisance_mode not in ("crossfit", "oracle"):
             raise InvalidInput(f"unknown nuisance_mode {self.nuisance_mode!r}")
-        if self.nuisance_mode == "oracle" and self.oracle is None:
-            raise InvalidInput("oracle mode requires an oracle nuisance bundle")
+        if self.nuisance_mode == "oracle" and not callable(self.oracle):
+            raise InvalidInput(
+                "oracle mode requires an oracle: a function of the covariate matrix "
+                "returning one array per nuisance"
+            )
         if self.arm not in (0, 1):
             raise InvalidInput("arm must be 0 or 1")
 
@@ -186,13 +191,6 @@ def clip_diagnostics(bundle: dict, spec: ScoreSpec) -> dict:
     }
 
 
-def combine_bundles(truth: dict, perturbation: dict, t: float) -> dict:
-    """Pointwise convex combination (1-t) * truth + t * perturbation."""
-    if set(truth) != set(perturbation):
-        raise InvalidInput("bundles carry different nuisance keys")
-    return {key: (1.0 - t) * truth[key] + t * perturbation[key] for key in truth}
-
-
 def orthogonality_diagnostic(
     data: Dataset,
     spec: ScoreSpec,
@@ -204,21 +202,22 @@ def orthogonality_diagnostic(
 ) -> np.ndarray:
     """Path D(t) = mean of g(O; (1-t) truth + t pert) * w(X) over the sample.
 
-    ``truth``, ``perturbation`` and ``weight`` are functions of the
-    covariate matrix; they are evaluated once at X.  Callers check
-    first-order insensitivity by symmetric finite differences around
-    t = 0 and the quadratic scaling of the curvature.  ``score_fn``
-    defaults to the orthogonal score named by ``spec``; pass a different
-    evaluator to probe non-orthogonal comparators.
+    ``truth`` and ``perturbation`` are nuisance bundles at X (an oracle
+    evaluated at the covariate matrix, say) with the same keys, and
+    ``weight`` is an array of w(X_i).  Callers check first-order
+    insensitivity by symmetric finite differences around t = 0 and the
+    quadratic scaling of the curvature.  ``score_fn`` defaults to the
+    orthogonal score named by ``spec``; pass a different evaluator to
+    probe non-orthogonal comparators.
     """
+    if set(truth) != set(perturbation):
+        raise InvalidInput("bundles carry different nuisance keys")
     if score_fn is None:
         score_fn = evaluate_score
-    x = data.covariate_matrix(spec.covariates)
-    w = np.ones(data.n) if weight is None else np.asarray(weight(x), dtype=float)
-    truth_at_x = {key: f(x) for key, f in truth.items()}
-    pert_at_x = {key: f(x) for key, f in perturbation.items()}
+    w = np.ones(data.n) if weight is None else np.asarray(weight, dtype=float)
     out = np.empty(len(t_grid))
     for i, t in enumerate(t_grid):
-        bundle = combine_bundles(truth_at_x, pert_at_x, float(t))
+        t = float(t)
+        bundle = {key: (1.0 - t) * truth[key] + t * perturbation[key] for key in truth}
         out[i] = float(np.mean(score_fn(data, bundle, spec) * w))
     return out

@@ -19,10 +19,10 @@ from gptest.dgp import (
     oracle_nuisances_panel_a,
     oracle_nuisances_panel_b,
 )
-from gptest.engine import weighted_chisq_pvalue
 from gptest.harness import SimGridConfig, run_cell, run_grid
 from gptest.numerics import RngStream, gauss_legendre, sym_eigen
 from gptest.scores import ScoreSpec, orthogonality_diagnostic
+from mc_reference import weighted_chisq_pvalue
 
 R = 500
 ALPHA = 0.05
@@ -189,11 +189,11 @@ def _diagnostic_summary(data, spec, truth, pert, plug_fn):
 def test_criterion_9_orthogonality_diagnostic(criterion_report):
     cfg_a = PanelAConfig(n=100_000, seed=21)
     data_a = gen_panel_a(cfg_a)
-    truth_a = oracle_nuisances_panel_a(cfg_a, a=0)
+    truth_a = oracle_nuisances_panel_a(cfg_a, a=0)(data_a.covariate_matrix(("X1", "X2")))
     pert_a = {
-        "pi_s1": lambda x: expit(_logit(truth_a["pi_s1"](x)) + 0.3),
-        "pi_s0": lambda x: expit(_logit(truth_a["pi_s0"](x)) + 0.3),
-        "mu_s1": lambda x: truth_a["mu_s1"](x) + 0.3,
+        "pi_s1": expit(_logit(truth_a["pi_s1"]) + 0.3),
+        "pi_s0": expit(_logit(truth_a["pi_s0"]) + 0.3),
+        "mu_s1": truth_a["mu_s1"] + 0.3,
         "mu_s0": truth_a["mu_s0"],
     }
 
@@ -206,11 +206,11 @@ def test_criterion_9_orthogonality_diagnostic(criterion_report):
 
     cfg_b = PanelBConfig(n=100_000, seed=22)
     data_b = gen_panel_b(cfg_b)
-    truth_b = oracle_nuisances_panel_b(cfg_b)
+    truth_b = oracle_nuisances_panel_b(cfg_b)(data_b.covariate_matrix(("X1", "X2")))
     pert_b = dict(truth_b)
-    pert_b["pz1"] = lambda x: expit(_logit(truth_b["pz1"](x)) + 0.3)
-    pert_b["mu_y1_1"] = lambda x: truth_b["mu_y1_1"](x) + 0.3
-    pert_b["mu_d1_1"] = lambda x: truth_b["mu_d1_1"](x) - 0.1
+    pert_b["pz1"] = expit(_logit(truth_b["pz1"]) + 0.3)
+    pert_b["mu_y1_1"] = truth_b["mu_y1_1"] + 0.3
+    pert_b["mu_d1_1"] = truth_b["mu_d1_1"] - 0.1
 
     def plug_iv(data, bundle, spec):
         out = 0.0

@@ -9,6 +9,7 @@ from gptest.dgp import (
     PanelBConfig,
     _sco2_effect,
     _stratum_probs,
+    _treatment_from_stratum,
     expit,
     gen_panel_a,
     gen_panel_b,
@@ -58,23 +59,22 @@ class TestPanelA:
     def test_outcome_mean_matches_oracle_in_cells(self):
         cfg = PanelAConfig(n=100_000, seed=5)
         data = gen_panel_a(cfg)
-        nb = oracle_nuisances_panel_a(cfg, a=0)
-        x = data.covariate_matrix(("X1", "X2"))
+        nb = oracle_nuisances_panel_a(cfg, a=0)(data.covariate_matrix(("X1", "X2")))
         a, s, y = data.col("A"), data.col("S"), data.col("Y")
         for sv, key in ((0, "mu_s0"), (1, "mu_s1")):
             cell = (a == 0) & (s == sv)
-            resid = y[cell] - nb[key](x[cell])
+            resid = y[cell] - nb[key][cell]
             assert abs(resid.mean()) < 0.02  # noise sd is 0.5
 
     def test_binned_conditional_mean_on_grid(self):
         cfg = PanelAConfig(n=1_000_000, seed=6)
         data = gen_panel_a(cfg)
-        nb = oracle_nuisances_panel_a(cfg, a=0)
         x = data.covariate_matrix(("X1", "X2"))
+        nb = oracle_nuisances_panel_a(cfg, a=0)(x)
         cell = (data.col("A") == 0) & (data.col("S") == 0)
         edges = np.linspace(-1, 1, 5)
         y, xs = data.col("Y")[cell], x[cell]
-        mu = nb["mu_s0"](xs)
+        mu = nb["mu_s0"][cell]
         for i in range(4):
             for j in range(4):
                 m = (
@@ -84,17 +84,16 @@ class TestPanelA:
                 assert abs(y[m].mean() - mu[m].mean()) < 0.05
 
     def test_oracle_propensity_at_origin(self):
-        nb = oracle_nuisances_panel_a(PanelAConfig(n=10), a=0)
-        x = np.zeros((1, 2))
-        assert nb["pi_s1"](x)[0] == pytest.approx(0.25)
-        assert nb["pi_s0"](x)[0] == pytest.approx(0.25)
+        nb = oracle_nuisances_panel_a(PanelAConfig(n=10), a=0)(np.zeros((1, 2)))
+        assert nb["pi_s1"][0] == pytest.approx(0.25)
+        assert nb["pi_s0"][0] == pytest.approx(0.25)
 
     def test_oracle_outcome_formula(self):
-        nb = oracle_nuisances_panel_a(PanelAConfig(n=10), a=0)
         rng = np.random.default_rng(0)
         x = rng.uniform(-1, 1, size=(20, 2))
         expected = x[:, 0] + x[:, 1] + expit(x[:, 0])
-        assert np.allclose(nb["mu_s0"](x), expected, atol=1e-12)
+        mu_s0 = oracle_nuisances_panel_a(PanelAConfig(n=10), a=0)(x)["mu_s0"]
+        assert np.allclose(mu_s0, expected, atol=1e-12)
 
 
 def all_terms_mean(x1, x2, s, a, alpha1, alpha2):
@@ -141,10 +140,10 @@ class TestAllTermsReference:
             "mu_s1": all_terms_mean(x1, x2, 1.0, float(arm), *alpha),
             "mu_s0": all_terms_mean(x1, x2, 0.0, float(arm), *alpha),
         }
-        bundle = oracle_nuisances_panel_a(cfg, a=arm)
+        bundle = oracle_nuisances_panel_a(cfg, a=arm)(x)
         assert set(bundle) == set(expected)
         for key, values in expected.items():
-            assert np.array_equal(bundle[key](x), values), key
+            assert np.array_equal(bundle[key], values), key
 
     @pytest.mark.parametrize("beta", [(0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (0.5, -0.3)])
     def test_panel_b_sco2_effect(self, beta):
@@ -185,8 +184,6 @@ class TestPanelB:
 
     def test_monotone_compliance_tables(self):
         # ECO treats whenever RCO does, for every (Z1, Z2) cell
-        from gptest.dgp import _treatment_from_stratum
-
         for z1 in (0.0, 1.0):
             for z2 in (0.0, 1.0):
                 z1a, z2a = np.array([z1]), np.array([z2])
@@ -195,8 +192,6 @@ class TestPanelB:
                 assert d_eco[0] >= d_rco[0]
 
     def test_ant_never_treats(self):
-        from gptest.dgp import _treatment_from_stratum
-
         for z1 in (0.0, 1.0):
             for z2 in (0.0, 1.0):
                 d = _treatment_from_stratum(np.array([z1]), np.array([z2]), np.array([0]))
@@ -205,16 +200,53 @@ class TestPanelB:
     def test_oracle_matches_empirical_means(self):
         cfg = PanelBConfig(n=400_000, seed=10)
         data = gen_panel_b(cfg)
-        nb = oracle_nuisances_panel_b(cfg)
-        x = data.covariate_matrix(("X1", "X2"))
+        nb = oracle_nuisances_panel_b(cfg)(data.covariate_matrix(("X1", "X2")))
         for j, zcol in ((1, "Z1"), (2, "Z2")):
             z = data.col(zcol)
             for zv in (0, 1):
                 m = z == zv
                 for prefix, col in (("mu_d", "D"), ("mu_y", "Y")):
                     emp = data.col(col)[m].mean()
-                    ana = nb[f"{prefix}{j}_{zv}"](x[m]).mean()
+                    ana = nb[f"{prefix}{j}_{zv}"][m].mean()
                     assert abs(emp - ana) < 0.01, (j, zv, prefix)
+
+    @pytest.mark.parametrize(
+        "beta", [(0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (0.5, 0.5), (0.5, -0.3), (-1.0, 2.0)]
+    )
+    def test_oracle_sums_strata(self, beta):
+        """Each conditional mean, summed stratum by stratum from the generator's pieces.
+
+        Given Z_j = z and X, the stratum is drawn with P(stratum | X) and the
+        other instrument is 1 with its propensity pz, independently; the
+        treatment follows the generator's compliance table, and Y adds the
+        stratum's effect to E[Y0 | X] = 1 + X1 + X2 + E[U] when treated.
+        """
+        cfg = PanelBConfig(n=10, beta1=beta[0], beta2=beta[1])
+        x = np.random.default_rng(13).uniform(-1, 1, size=(2000, 2))
+        x1, x2 = x[:, 0], x[:, 1]
+        n = len(x1)
+        probs = _stratum_probs(x1, x2)
+        pz = {1: expit(0.5 + 0.5 * x1 + 0.5 * x2), 2: expit(0.5 + 0.5 * x1 - 0.5 * x2)}
+        sco2 = _sco2_effect(x1, x2, *beta)
+        effects = [np.zeros(n), -2.0 * x1, sco2, -2.0 * x1, -2.0 * x1]  # ANT .. ECO
+        expected = {"pz1": pz[1], "pz2": pz[2]}
+        for j, other in ((1, 2), (2, 1)):
+            for z in (0, 1):
+                mean_d, lift = np.zeros(n), np.zeros(n)
+                for stratum, effect in enumerate(effects):
+                    d = np.zeros(n)
+                    for z_other, p_other in ((1.0, pz[other]), (0.0, 1.0 - pz[other])):
+                        zs = {j: np.full(n, float(z)), other: np.full(n, z_other)}
+                        treated = _treatment_from_stratum(zs[1], zs[2], np.full(n, stratum))
+                        d += p_other * treated
+                    mean_d += probs[:, stratum] * d
+                    lift += probs[:, stratum] * d * effect
+                expected[f"mu_d{j}_{z}"] = mean_d
+                expected[f"mu_y{j}_{z}"] = 1.0 + x1 + x2 - 0.3 + lift
+        bundle = oracle_nuisances_panel_b(cfg)(x)
+        assert len(bundle) == 10 and set(bundle) == set(expected)
+        for key, values in expected.items():
+            np.testing.assert_allclose(bundle[key], values, rtol=0.0, atol=1e-12, err_msg=key)
 
     def test_u_param_switch_changes_spread(self):
         a = gen_panel_b(PanelBConfig(n=50_000, seed=11, u_param="var"))

@@ -162,10 +162,10 @@ class TestCrossfit:
 
     def test_oracle_mode_bypasses_fitting(self):
         data = _condcov_null_dataset(300, 14)
-        oracle = {
-            "mean_y": lambda x: np.zeros(x.shape[0]),
-            "mean_z": lambda x: np.zeros(x.shape[0]),
-        }
+
+        def oracle(x):
+            return {"mean_y": np.zeros(x.shape[0]), "mean_z": np.zeros(x.shape[0])}
+
         spec = ScoreSpec(
             kind="conditional_covariance", nuisance_mode="oracle", oracle=oracle
         )

@@ -32,12 +32,6 @@ def const(n, c):
     return np.full(n, float(c))
 
 
-def at_x(functions, data):
-    """Nuisance arrays: each function of the covariates evaluated at X."""
-    x = data.covariate_matrix(("X1", "X2"))
-    return {key: f(x) for key, f in functions.items()}
-
-
 class TestSpecValidation:
     def test_bad_kind(self):
         with pytest.raises(InvalidInput):
@@ -50,6 +44,8 @@ class TestSpecValidation:
     def test_oracle_mode_needs_bundle(self):
         with pytest.raises(InvalidInput):
             ScoreSpec(nuisance_mode="oracle")
+        with pytest.raises(InvalidInput):
+            ScoreSpec(nuisance_mode="oracle", oracle={})
 
 
 class TestMeanExchangeability:
@@ -92,7 +88,8 @@ class TestMeanExchangeability:
     def test_null_oracle_mean_near_zero(self):
         cfg = PanelAConfig(n=100_000, seed=30)
         data = gen_panel_a(cfg)
-        nb = at_x(oracle_nuisances_panel_a(cfg, a=0), data)
+        x = data.covariate_matrix(("X1", "X2"))
+        nb = oracle_nuisances_panel_a(cfg, a=0)(x)
         spec = ScoreSpec(kind="mean_exchangeability", arm=0)
         g = g_mean_exchangeability(data, nb, spec)
         assert abs(g.mean()) < 3.0 * g.std() / np.sqrt(len(g))
@@ -100,10 +97,10 @@ class TestMeanExchangeability:
     def test_null_oracle_basis_moments_near_zero(self):
         cfg = PanelAConfig(n=100_000, seed=31)
         data = gen_panel_a(cfg)
-        nb = at_x(oracle_nuisances_panel_a(cfg, a=0), data)
+        x = data.covariate_matrix(("X1", "X2"))
+        nb = oracle_nuisances_panel_a(cfg, a=0)(x)
         spec = ScoreSpec(kind="mean_exchangeability", arm=0)
         g = g_mean_exchangeability(data, nb, spec)
-        x = data.covariate_matrix(("X1", "X2"))
         for j in range(10):
             b = legendre_orthonormal(j % 5, x[:, j // 5])
             gb = g * b
@@ -112,7 +109,8 @@ class TestMeanExchangeability:
     def test_clipping_keeps_outputs_finite(self):
         cfg = PanelAConfig(n=5000, seed=32)
         data = gen_panel_a(cfg)
-        nb = at_x(oracle_nuisances_panel_a(cfg, a=0), data)
+        x = data.covariate_matrix(("X1", "X2"))
+        nb = oracle_nuisances_panel_a(cfg, a=0)(x)
         nb["pi_s1"] = const(data.n, 1e-9)  # degenerate propensity, clip must save it
         for clip in (0.01, 0.05, 0.2):
             spec = ScoreSpec(kind="mean_exchangeability", arm=0, clip_propensity=clip)
@@ -168,7 +166,8 @@ class TestIvScores:
     def test_panel_b_null_mean(self):
         cfg = PanelBConfig(n=100_000, seed=36)
         data = gen_panel_b(cfg)
-        nb = at_x(oracle_nuisances_panel_b(cfg), data)
+        x = data.covariate_matrix(("X1", "X2"))
+        nb = oracle_nuisances_panel_b(cfg)(x)
         spec = ScoreSpec(kind="iv_compatibility")
         g = g_iv_compatibility(data, nb, spec)
         assert abs(g.mean()) < 3.0 * g.std() / np.sqrt(len(g))
@@ -176,7 +175,8 @@ class TestIvScores:
     def test_alternative_loads_on_linear_weight(self):
         cfg = PanelBConfig(n=100_000, seed=37, beta1=0.5, beta2=0.5)
         data = gen_panel_b(cfg)
-        nb = at_x(oracle_nuisances_panel_b(cfg), data)
+        x = data.covariate_matrix(("X1", "X2"))
+        nb = oracle_nuisances_panel_b(cfg)(x)
         spec = ScoreSpec(kind="iv_compatibility")
         g = g_iv_compatibility(data, nb, spec)
         gw = g * (data.col("X1") + data.col("X2"))
@@ -185,7 +185,8 @@ class TestIvScores:
     def test_swap_antisymmetry(self):
         cfg = PanelBConfig(n=2000, seed=38)
         data = gen_panel_b(cfg)
-        nb = at_x(oracle_nuisances_panel_b(cfg), data)
+        x = data.covariate_matrix(("X1", "X2"))
+        nb = oracle_nuisances_panel_b(cfg)(x)
         swapped_nb = {}
         for j, other in ((1, 2), (2, 1)):
             swapped_nb[f"pz{j}"] = nb[f"pz{other}"]
@@ -281,18 +282,18 @@ class TestConditionalCovariance:
 
 def me_perturbation(truth):
     return {
-        "pi_s1": lambda x: expit(logit(truth["pi_s1"](x)) + 0.3),
-        "pi_s0": lambda x: expit(logit(truth["pi_s0"](x)) + 0.3),
-        "mu_s1": lambda x: truth["mu_s1"](x) + 0.3,
+        "pi_s1": expit(logit(truth["pi_s1"]) + 0.3),
+        "pi_s0": expit(logit(truth["pi_s0"]) + 0.3),
+        "mu_s1": truth["mu_s1"] + 0.3,
         "mu_s0": truth["mu_s0"],
     }
 
 
 def com_perturbation(truth):
     pert = dict(truth)
-    pert["pz1"] = lambda x: expit(logit(truth["pz1"](x)) + 0.3)
-    pert["mu_y1_1"] = lambda x: truth["mu_y1_1"](x) + 0.3
-    pert["mu_d1_1"] = lambda x: truth["mu_d1_1"](x) - 0.1
+    pert["pz1"] = expit(logit(truth["pz1"]) + 0.3)
+    pert["mu_y1_1"] = truth["mu_y1_1"] + 0.3
+    pert["mu_d1_1"] = truth["mu_d1_1"] - 0.1
     return pert
 
 
@@ -308,7 +309,8 @@ class TestOrthogonalityDiagnostic:
     def test_identical_bundles_constant_path(self):
         cfg = PanelAConfig(n=2000, seed=45)
         data = gen_panel_a(cfg)
-        truth = oracle_nuisances_panel_a(cfg, a=0)
+        x = data.covariate_matrix(("X1", "X2"))
+        truth = oracle_nuisances_panel_a(cfg, a=0)(x)
         spec = ScoreSpec(kind="mean_exchangeability", arm=0)
         d = orthogonality_diagnostic(data, spec, truth, dict(truth), self.T_GRID)
         assert np.allclose(d, d[0], atol=1e-12)
@@ -316,7 +318,8 @@ class TestOrthogonalityDiagnostic:
     def test_me_quadratic_scaling(self):
         cfg = PanelAConfig(n=100_000, seed=21)
         data = gen_panel_a(cfg)
-        truth = oracle_nuisances_panel_a(cfg, a=0)
+        x = data.covariate_matrix(("X1", "X2"))
+        truth = oracle_nuisances_panel_a(cfg, a=0)(x)
         spec = ScoreSpec(kind="mean_exchangeability", arm=0)
         d = orthogonality_diagnostic(data, spec, truth, me_perturbation(truth), self.T_GRID)
         c_small, c_large = self._curvatures(d)
@@ -326,7 +329,8 @@ class TestOrthogonalityDiagnostic:
     def test_me_derivative_much_smaller_than_plugin(self):
         cfg = PanelAConfig(n=100_000, seed=21)
         data = gen_panel_a(cfg)
-        truth = oracle_nuisances_panel_a(cfg, a=0)
+        x = data.covariate_matrix(("X1", "X2"))
+        truth = oracle_nuisances_panel_a(cfg, a=0)(x)
         spec = ScoreSpec(kind="mean_exchangeability", arm=0)
         pert = me_perturbation(truth)
         d = orthogonality_diagnostic(data, spec, truth, pert, self.T_GRID)
@@ -344,7 +348,8 @@ class TestOrthogonalityDiagnostic:
     def test_com_quadratic_scaling(self):
         cfg = PanelBConfig(n=100_000, seed=22)
         data = gen_panel_b(cfg)
-        truth = oracle_nuisances_panel_b(cfg)
+        x = data.covariate_matrix(("X1", "X2"))
+        truth = oracle_nuisances_panel_b(cfg)(x)
         spec = ScoreSpec(kind="iv_compatibility")
         d = orthogonality_diagnostic(data, spec, truth, com_perturbation(truth), self.T_GRID)
         c_small, c_large = self._curvatures(d)
@@ -354,11 +359,12 @@ class TestOrthogonalityDiagnostic:
     def test_weighted_path_also_flat(self):
         cfg = PanelAConfig(n=100_000, seed=46)
         data = gen_panel_a(cfg)
-        truth = oracle_nuisances_panel_a(cfg, a=0)
+        x = data.covariate_matrix(("X1", "X2"))
+        truth = oracle_nuisances_panel_a(cfg, a=0)(x)
         spec = ScoreSpec(kind="mean_exchangeability", arm=0)
         d = orthogonality_diagnostic(
             data, spec, truth, me_perturbation(truth), self.T_GRID,
-            weight=lambda x: legendre_orthonormal(1, x[:, 0]),
+            weight=legendre_orthonormal(1, x[:, 0]),
         )
         deriv = (d[3] - d[1]) / 0.2
         assert abs(deriv) < 0.01
