@@ -10,6 +10,7 @@ from .engine import (
     gp_test_standardized,
     gp_test_unstandardized,
     run_gp_test,
+    run_gp_tests,
     wald_projection_test,
 )
 from .dgp import (
@@ -35,7 +36,7 @@ __all__ = [
     "GP_STANDARDIZED", "GP_UNSTANDARDIZED", "WALD_PROJECTION",
     "TestConfig", "TestResult",
     "gp_test_standardized", "gp_test_unstandardized", "run_gp_test",
-    "wald_projection_test",
+    "run_gp_tests", "wald_projection_test",
     "Dataset", "PanelAConfig", "PanelBConfig",
     "gen_panel_a", "gen_panel_b",
     "oracle_nuisances_panel_a", "oracle_nuisances_panel_b",

@@ -217,21 +217,48 @@ def run_gp_test(
     rng: RngStream | None = None,
 ) -> TestResult:
     """Cross-fit the score, build the design, and run the chosen variant."""
-    if variant not in METHODS:
-        raise InvalidInput(f"unknown test variant {variant!r}")
+    return run_gp_tests(data, score, (basis_spec,), config, (variant,), K, rng)[0][0]
+
+
+def run_gp_tests(
+    data: Dataset,
+    score: ScoreSpec,
+    basis_specs,
+    config: TestConfig,
+    variants,
+    K: int = 5,
+    rng: RngStream | None = None,
+) -> list[list[TestResult]]:
+    """Cross-fit the score once and run every variant on every basis.
+
+    ``results[v][b]`` is ``variants[v]`` on ``basis_specs[b]``, all on the
+    same pseudo-outcomes.  Each basis's design is built once, directly
+    from its spec.  The Wald test uses no basis: it runs once and its
+    result object stands in every column of its row.
+    """
+    for variant in variants:
+        if variant not in METHODS:
+            raise InvalidInput(f"unknown test variant {variant!r}")
     if rng is None:
         rng = RngStream(config.seed)
     fit = crossfit(data, score, K, rng)
     g = fit.pseudo_outcomes
     x = data.covariate_matrix(score.covariates)
-    if variant == WALD_PROJECTION:
-        result = wald_projection_test(with_intercept(x), g, alpha=config.alpha)
-    else:
-        design = build_design(x, basis_spec)
-        check_basis_columns(design.J, design.n)
-        if variant == GP_STANDARDIZED:
-            result = gp_test_standardized(design, g, config)
+    designs = []
+    if any(variant != WALD_PROJECTION for variant in variants):
+        for spec in basis_specs:
+            design = build_design(x, spec)
+            check_basis_columns(design.J, design.n)
+            designs.append(design)
+    results = []
+    for variant in variants:
+        if variant == WALD_PROJECTION:
+            wald = wald_projection_test(with_intercept(x), g, alpha=config.alpha)
+            row = [wald] * len(basis_specs)
         else:
-            result = gp_test_unstandardized(design, g, config)
-    result.diagnostics.update(fit.diagnostics)
-    return result
+            test = gp_test_standardized if variant == GP_STANDARDIZED else gp_test_unstandardized
+            row = [test(design, g, config) for design in designs]
+        for result in row:
+            result.diagnostics.update(fit.diagnostics)
+        results.append(row)
+    return results

@@ -2,8 +2,12 @@
 data-generating processes, plus the typed config-key parser shared with
 the CLI.
 
-Replications carry individually derived seeds, so the output table is
-identical whether cells run serially or across worker processes.
+Replications are paired across methods and basis sizes: replication
+``rep`` of an (n, scenario) is one dataset and one cross-fit, seeded from
+(base seed, panel, n, scenario, rep) alone, on which every (method, J*)
+of the grid is run.  A cell's row therefore does not depend on which
+other methods or J* share its grid, and the table is identical whether
+replications run serially or across worker processes.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from .engine import (
     WALD_PROJECTION,
     TestConfig,
     check_basis_columns,
-    run_gp_test,
+    run_gp_tests,
 )
 from .errors import GptestError, InvalidConfig
 from .dgp import (
@@ -96,17 +100,23 @@ class RejectionTable:
                 fh.write(",".join(str(row[k]) for k in TABLE_HEADER) + "\n")
 
 
-def replication_seed(base_seed: int, panel: str, n: int, scenario, method: str,
-                     j_star: int, rep: int) -> int:
-    """Stable 64-bit per-replication seed derived from the cell identity."""
-    key = f"{base_seed}|{panel}|{n}|{scenario[0]!r}|{scenario[1]!r}|{method}|{j_star}|{rep}"
+def replication_seed(base_seed: int, panel: str, n: int, scenario, method: str | None,
+                     j_star: int | None, rep: int) -> int:
+    """Stable 64-bit seed of replication ``rep`` of the (panel, n, scenario) data.
+
+    ``method`` and ``j_star`` do not enter the seed: every method and J*
+    of a grid is run on the same dataset and fold split.  They are still
+    accepted, so a caller may name a full grid cell.
+    """
+    key = f"{base_seed}|{panel}|{n}|{scenario[0]!r}|{scenario[1]!r}|{rep}"
     digest = hashlib.blake2b(key.encode(), digest_size=8).digest()
     return int.from_bytes(digest, "little")
 
 
-def _one_replication(task: tuple) -> bool:
-    """Generate one dataset, run the requested test, return the decision."""
-    cfg, n, scenario, method, j_star, seed = task
+def _one_replication(task: tuple) -> list[bool]:
+    """Generate one dataset, cross-fit it once, and return the decision of
+    every (method, J*) of ``methods`` x ``j_stars``, method-major."""
+    cfg, n, scenario, methods, j_stars, seed = task
     if cfg.panel == "A":
         dgp_cfg = PanelAConfig(n=n, alpha1=scenario[0], alpha2=scenario[1], seed=seed)
         data, kind = gen_panel_a(dgp_cfg), MEAN_EXCHANGEABILITY
@@ -117,60 +127,79 @@ def _one_replication(task: tuple) -> bool:
         data, kind = gen_panel_b(dgp_cfg), IV_COMPATIBILITY
         oracle = oracle_nuisances_panel_b(dgp_cfg) if cfg.nuisance_mode == "oracle" else None
     score = ScoreSpec(kind=kind, nuisance_mode=cfg.nuisance_mode, oracle=oracle)
-    basis_spec = BasisSpec(
-        family=cfg.basis_family, j_star=j_star, combination=cfg.combination,
-        ranges=((-1.0, 1.0), (-1.0, 1.0)),
-    )
+    basis_specs = [
+        BasisSpec(family=cfg.basis_family, j_star=j_star, combination=cfg.combination,
+                  ranges=((-1.0, 1.0), (-1.0, 1.0)))
+        for j_star in j_stars
+    ]
     config = TestConfig(alpha=cfg.alpha, seed=seed)
     rng = RngStream(seed).spawn(1)  # fold assignment stream, distinct from the DGP's
-    result = run_gp_test(data, score, basis_spec, config, variant=method, K=cfg.K, rng=rng)
-    return bool(result.reject)
+    results = run_gp_tests(data, score, basis_specs, config, methods, K=cfg.K, rng=rng)
+    return [bool(result.reject) for row in results for result in row]
 
 
-def run_cell(cfg: SimGridConfig, n: int, scenario, method: str, j_star: int,
-             executor=None) -> dict:
-    """Run R replications of one grid cell and summarize the rejection rate."""
+def _rows(cfg: SimGridConfig, datasets, methods, j_stars, executor) -> list[dict]:
+    """Rows of every (n, scenario) of ``datasets`` x (method, J*) of
+    ``methods`` x ``j_stars``, in grid order.
+
+    One task is one (n, scenario, rep); every task goes through one
+    ``executor.map``, or runs in this process when ``executor`` is None.
+    """
     tasks = [
-        (cfg, n, scenario, method, j_star,
-         replication_seed(cfg.base_seed, cfg.panel, n, scenario, method, j_star, rep))
+        (cfg, n, scenario, methods, j_stars,
+         replication_seed(cfg.base_seed, cfg.panel, n, scenario,
+                          method=None, j_star=None, rep=rep))
+        for n, scenario in datasets
         for rep in range(cfg.replications)
     ]
     if executor is None:
         decisions = [_one_replication(t) for t in tasks]
     else:
-        decisions = list(executor.map(_one_replication, tasks, chunksize=8))
-    rate = float(np.mean(decisions))
-    return {
-        "panel": cfg.panel,
-        "n": n,
-        "scenario_1": scenario[0],
-        "scenario_2": scenario[1],
-        "method": method,
-        "j_star": j_star,
-        "rejection_rate": rate,
-        "replications": cfg.replications,
-        "mc_stderr": float(np.sqrt(rate * (1.0 - rate) / cfg.replications)),
-    }
+        # about 8 chunks per worker, for a short tail; at most 32 tasks, so long grids balance too
+        chunksize = max(1, min(32, len(tasks) // (8 * cfg.threads)))
+        decisions = list(executor.map(_one_replication, tasks, chunksize=chunksize))
+    R = cfg.replications
+    rows = []
+    for i, (n, scenario) in enumerate(datasets):
+        rates = np.mean(decisions[i * R:(i + 1) * R], axis=0)
+        for k, (method, j_star) in enumerate((m, j) for m in methods for j in j_stars):
+            rate = float(rates[k])
+            rows.append({
+                "panel": cfg.panel,
+                "n": n,
+                "scenario_1": scenario[0],
+                "scenario_2": scenario[1],
+                "method": method,
+                "j_star": j_star,
+                "rejection_rate": rate,
+                "replications": R,
+                "mc_stderr": float(np.sqrt(rate * (1.0 - rate) / R)),
+            })
+    return rows
+
+
+def run_cell(cfg: SimGridConfig, n: int, scenario, method: str, j_star: int,
+             executor=None) -> dict:
+    """Run R replications of one grid cell and summarize the rejection rate."""
+    return _rows(cfg, [(n, scenario)], (method,), (j_star,), executor)[0]
 
 
 def run_grid(cfg: SimGridConfig) -> RejectionTable:
-    """Run every cell of the grid; deterministic given the base seed."""
-    table = RejectionTable()
+    """Run every cell of the grid; deterministic given the base seed.
+
+    Each replication's dataset and cross-fit are shared by every method
+    and J* of its (n, scenario).
+    """
+    datasets = [(n, scenario) for n in cfg.sample_sizes for scenario in cfg.scenarios]
     executor = None
     try:
         if cfg.threads > 1:
             executor = concurrent.futures.ProcessPoolExecutor(max_workers=cfg.threads)
-        for n in cfg.sample_sizes:
-            for scenario in cfg.scenarios:
-                for method in cfg.methods:
-                    for j_star in cfg.j_star_list:
-                        table.rows.append(
-                            run_cell(cfg, n, scenario, method, j_star, executor=executor)
-                        )
+        rows = _rows(cfg, datasets, cfg.methods, cfg.j_star_list, executor)
     finally:
         if executor is not None:
             executor.shutdown()
-    return table
+    return RejectionTable(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from gptest.engine import (
     gp_test_unstandardized,
     projection_vector,
     run_gp_test,
+    run_gp_tests,
     sigma_hat,
     statistic,
     wald_projection_test,
@@ -338,6 +339,22 @@ class TestRunGpTest:
         message = "^basis has J=200 columns for n=200 rows; need J < n$"
         with pytest.raises(InvalidInput, match=message):
             check_basis_columns(200, 200)
+
+    def test_tests_on_one_crossfit_equal_single_runs(self):
+        from gptest.scores import ScoreSpec
+
+        data, score = gen_panel_a(PanelAConfig(n=400, seed=61)), ScoreSpec()
+        specs = (BasisSpec(j_star=3), BasisSpec(j_star=5),
+                 BasisSpec(j_star=2, combination="tensor"))
+        variants = (GP_STANDARDIZED, "wald", GP_UNSTANDARDIZED)
+        cfg = EngineConfig(seed=5)
+        results = run_gp_tests(data, score, specs, cfg, variants, K=4, rng=RngStream(8))
+        assert [len(row) for row in results] == [3, 3, 3]
+        for v, variant in enumerate(variants):
+            for b, spec in enumerate(specs):
+                alone = run_gp_test(data, score, spec, cfg, variant, K=4, rng=RngStream(8))
+                assert results[v][b].to_dict() == alone.to_dict()
+        assert results[1][0] is results[1][2]  # one Wald run serves every basis
 
     def test_to_dict_round_trip(self):
         import json

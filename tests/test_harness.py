@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gptest import engine
 from gptest.cli import TEST_KEYS, main
 from gptest.dgp import Dataset, PanelAConfig, gen_panel_a, read_csv, write_csv
 from gptest.errors import InvalidConfig
@@ -126,20 +127,23 @@ class TestReplicationSeed:
         assert a == replication_seed(1, "A", 250, (0.0, 0.0), "gp_standardized", 3, 0)
         assert 0 <= a < 2 ** 64
 
-    def test_each_field_matters(self):
+    def test_seeded_by_dataset_not_by_method_or_j_star(self):
         base = (1, "A", 250, (0.0, 0.0), "gp_standardized", 3, 0)
-        variants = [
+        data_variants = [
             (2, "A", 250, (0.0, 0.0), "gp_standardized", 3, 0),
             (1, "B", 250, (0.0, 0.0), "gp_standardized", 3, 0),
             (1, "A", 500, (0.0, 0.0), "gp_standardized", 3, 0),
             (1, "A", 250, (0.2, 0.0), "gp_standardized", 3, 0),
-            (1, "A", 250, (0.0, 0.0), "wald", 3, 0),
-            (1, "A", 250, (0.0, 0.0), "gp_standardized", 5, 0),
+            (1, "A", 250, (0.0, 0.2), "gp_standardized", 3, 0),
             (1, "A", 250, (0.0, 0.0), "gp_standardized", 3, 1),
         ]
-        seeds = {replication_seed(*v) for v in variants}
+        seeds = {replication_seed(*v) for v in data_variants}
         assert replication_seed(*base) not in seeds
-        assert len(seeds) == len(variants)
+        assert len(seeds) == len(data_variants)
+        same_data = [("wald", 3), ("gp_unstandardized", 3), ("gp_standardized", 5), (None, None)]
+        for method, j_star in same_data:
+            seed = replication_seed(1, "A", 250, (0.0, 0.0), method, j_star, 0)
+            assert seed == replication_seed(*base)
 
 
 def tiny_config(**kw):
@@ -192,6 +196,46 @@ class TestRunGrid:
         assert [r["rejection_rate"] for r in serial.rows] == [
             r["rejection_rate"] for r in parallel.rows
         ]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_row_equals_its_cell_run_alone(self, threads):
+        cfg = tiny_config(
+            sample_sizes=(250, 400), scenarios=((0.0, 0.0), (0.2, 0.0)), j_star_list=(3, 5),
+            methods=("gp_standardized", "gp_unstandardized", "wald"), replications=6,
+            threads=threads,
+        )
+        rows = run_grid(cfg).rows
+        assert len(rows) == 2 * 2 * 3 * 2
+        rates = set()
+        for row in rows:
+            scenario = (row["scenario_1"], row["scenario_2"])
+            alone = run_grid(tiny_config(
+                sample_sizes=(row["n"],), scenarios=(scenario,), j_star_list=(row["j_star"],),
+                methods=(row["method"],), replications=6,
+            )).rows
+            assert alone == [row]
+            rates.add(row["rejection_rate"])
+        assert len(rates) > 1  # the rows are not all alike
+        wald = [row for row in rows if row["method"] == "wald"]
+        wald_rates = [r["rejection_rate"] for r in wald]
+        assert wald_rates[0::2] == wald_rates[1::2]  # J* 3 and 5 of each dataset
+
+    def test_one_crossfit_per_dataset(self, monkeypatch):
+        calls = []
+
+        def counting_crossfit(*args, **kwargs):
+            calls.append(args[0].n)
+            return crossfit(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "crossfit", counting_crossfit)
+        cfg = tiny_config(
+            sample_sizes=(250, 400), scenarios=((0.0, 0.0), (0.2, 0.0), (0.2, 0.2)),
+            j_star_list=(3, 5), methods=("gp_standardized", "gp_unstandardized", "wald"),
+            replications=3,
+        )
+        assert len(run_grid(cfg).rows) == 2 * 3 * 2 * 3
+        assert len(calls) == 2 * 3 * 3
+        assert calls.count(250) == calls.count(400) == 3 * 3
 
     def test_csv_output(self, tmp_path):
         table = run_grid(tiny_config(replications=2))
