@@ -8,7 +8,7 @@ rescaled to [-1, 1] before evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -168,6 +168,32 @@ def build_design(x_matrix, spec: BasisSpec) -> DesignMatrix:
         for axis in axes[1:]:  # the last covariate's degree varies fastest
             values = (values[:, :, None] * axis[:, None, :]).reshape(n, -1)
     return DesignMatrix(values=values, spec=spec)
+
+
+def restrict(design: DesignMatrix, j_star: int) -> DesignMatrix:
+    """The design of a smaller J* as a column selection of ``design``.
+
+    Both families are nested in J*: additive keeps the constant column
+    and the first J*-1 columns of each covariate's block, tensor keeps
+    the degree tuples below J*.  The columns are the ones
+    ``build_design`` would compute for the smaller spec, bit for bit,
+    and are copied to C order so products with them sum in the same
+    order as with a directly built design.  At the design's own J* the
+    design itself is returned.
+    """
+    spec = design.spec
+    if not 1 <= j_star <= spec.j_star:
+        raise InvalidInput(f"cannot restrict a J*={spec.j_star} design to J*={j_star}")
+    if j_star == spec.j_star:
+        return design
+    big = spec.j_star
+    if spec.combination == ADDITIVE:
+        columns = [0] + [1 + k * (big - 1) + t for k in range(spec.dim) for t in range(j_star - 1)]
+    else:
+        degrees = np.indices((j_star,) * spec.dim).reshape(spec.dim, -1)
+        columns = np.ravel_multi_index(degrees, (big,) * spec.dim)
+    values = np.ascontiguousarray(design.values[:, columns])
+    return DesignMatrix(values=values, spec=replace(spec, j_star=j_star))
 
 
 def basis_bound_diagnostics(spec: BasisSpec, grid_points: int = 1001):

@@ -10,6 +10,7 @@ that returns every nuisance's array.
 from __future__ import annotations
 
 import re
+import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -308,23 +309,8 @@ def _locate_bad_row(lines: list[str], names: list[str]) -> None:
                 ) from None
 
 
-def read_csv(path: str, binary: tuple[str, ...] = (), required: tuple[str, ...] = ()) -> Dataset:
-    """Read a strictly numeric CSV with a header row into a Dataset.
-
-    Blank and whitespace-only lines are skipped.  The body is parsed in
-    one ``np.loadtxt`` call; only when that fails are the rows scanned
-    one by one to name the offending row and cell.  A cell ``loadtxt``
-    rejects but ``float`` accepts (a digit separator such as ``1_0``) is
-    refused with ``loadtxt``'s message.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [line.rstrip("\n") for line in fh if line.strip() != ""]
-    except OSError as exc:
-        raise SchemaError(f"cannot read {path!r}: {exc}") from None
-    if not lines:
-        raise SchemaError(f"empty input file {path!r}")
-    names = [name.strip() for name in lines[0].split(",")]
+def _header_names(header: str, path: str, required: tuple[str, ...]) -> list[str]:
+    names = [name.strip() for name in header.rstrip("\n").split(",")]
     for pos, name in enumerate(names):
         if not name:
             raise SchemaError(f"empty column name at position {pos + 1} in {path!r}")
@@ -333,20 +319,58 @@ def read_csv(path: str, binary: tuple[str, ...] = (), required: tuple[str, ...] 
     for name in required:
         if name not in names:
             raise SchemaError(f"missing required column {name!r} in {path!r}")
-    body = lines[1:]
-    if body:
-        try:
-            values = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
-            if values.shape[1] != len(names):
-                raise ValueError(f"{values.shape[1]} cells per row, header has {len(names)}")
-        except ValueError as exc:
-            _locate_bad_row(body, names)
-            # loadtxt counts data rows from 0; every other message here counts from 1
-            reason = re.sub(r"at row (\d+)", lambda m: f"at row {int(m[1]) + 1}", str(exc))
-            raise SchemaError(f"cannot parse {path!r} as numeric CSV: {reason}") from None
-    else:
+    return names
+
+
+def _parse_lines(body: list[str], names: list[str], path: str) -> np.ndarray:
+    """The body's non-blank lines as an array, or the SchemaError naming
+    the first bad row and cell."""
+    if not body:
         # loadtxt warns on empty input, so a header-only file skips it
-        values = np.empty((0, len(names)))
+        return np.empty((0, len(names)))
+    try:
+        values = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+        if values.shape[1] != len(names):
+            raise ValueError(f"{values.shape[1]} cells per row, header has {len(names)}")
+    except ValueError as exc:
+        _locate_bad_row(body, names)
+        # loadtxt counts data rows from 0; every other message here counts from 1
+        reason = re.sub(r"at row (\d+)", lambda m: f"at row {int(m[1]) + 1}", str(exc))
+        raise SchemaError(f"cannot parse {path!r} as numeric CSV: {reason}") from None
+    return values
+
+
+def read_csv(path: str, binary: tuple[str, ...] = (), required: tuple[str, ...] = ()) -> Dataset:
+    """Read a strictly numeric CSV with a header row into a Dataset.
+
+    Blank and whitespace-only lines are skipped.  The header is the
+    first non-blank line, and the rest of the file goes to one
+    ``np.loadtxt`` call.  When that fails, or finds no rows, the file's
+    non-blank lines are parsed again, and a failure is scanned row by
+    row to name the offending row and cell.  A cell ``loadtxt`` rejects
+    but ``float`` accepts (a digit separator such as ``1_0``) is refused
+    with ``loadtxt``'s message.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline()
+            while header and header.strip() == "":
+                header = fh.readline()
+            if not header:
+                raise SchemaError(f"empty input file {path!r}")
+            names = _header_names(header, path, required)
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", UserWarning)  # loadtxt warns on no rows
+                    values = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+                if values.shape[1] != len(names):
+                    raise ValueError("wrong row width")
+            except (ValueError, UserWarning):
+                fh.seek(0)
+                lines = [line.rstrip("\n") for line in fh if line.strip() != ""]
+                values = _parse_lines(lines[1:], names, path)
+    except OSError as exc:
+        raise SchemaError(f"cannot read {path!r}: {exc}") from None
     arrays = {name: np.ascontiguousarray(values[:, j]) for j, name in enumerate(names)}
     present_binary = tuple(name for name in binary if name in arrays)
     return Dataset(columns=arrays, binary=present_binary, provenance=f"csv:{path}")

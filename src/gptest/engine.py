@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import BasisSpec, DesignMatrix, build_design
+from .basis import BasisSpec, DesignMatrix, build_design, restrict
 from .errors import DegenerateScale, InvalidInput, NotPSD
 from .dgp import Dataset
 from .nuisance import crossfit, with_intercept
@@ -124,13 +124,8 @@ def _statistic_and_scale(design: DesignMatrix, g, config: TestConfig):
     return s, sig, float(np.trace(sig)), float(np.linalg.norm(sig))
 
 
-def gp_test_unstandardized(design: DesignMatrix, g, config: TestConfig) -> TestResult:
-    """Projection test calibrated against the weighted chi-square mixture.
-
-    The p-value is the exact mixture tail over the eigenvalues of
-    Sigma-hat, so it needs no random draws.
-    """
-    s, sig, rho, gamma = _statistic_and_scale(design, g, config)
+def _mixture_calibrated(J: int, scale, config: TestConfig) -> TestResult:
+    s, sig, rho, gamma = scale
     taus = sym_eigen(sig).values
     p = chisq_mixture_sf(taus, s)
     return TestResult(
@@ -138,20 +133,15 @@ def gp_test_unstandardized(design: DesignMatrix, g, config: TestConfig) -> TestR
         statistic=s,
         p_value=p,
         reject=p < config.alpha,
-        J=design.J,
+        J=J,
         tau_hat=taus,
         rho_hat=rho,
         gamma_hat=gamma,
     )
 
 
-def gp_test_standardized(design: DesignMatrix, g, config: TestConfig) -> TestResult:
-    """Projection test standardized by trace/Frobenius of Sigma-hat.
-
-    T = (S - trace Sigma) / (sqrt(2) ||Sigma||_F); rejects one-sided when
-    T exceeds the upper-alpha normal quantile.
-    """
-    s, _, rho, gamma = _statistic_and_scale(design, g, config)
+def _normal_calibrated(J: int, scale, config: TestConfig) -> TestResult:
+    s, _, rho, gamma = scale
     if gamma == 0.0:
         raise DegenerateScale("Sigma-hat is identically zero")
     t = (s - rho) / (np.sqrt(2.0) * gamma)
@@ -161,11 +151,32 @@ def gp_test_standardized(design: DesignMatrix, g, config: TestConfig) -> TestRes
         statistic=s,
         p_value=p,
         reject=p < config.alpha,
-        J=design.J,
+        J=J,
         rho_hat=rho,
         gamma_hat=gamma,
         t_hat=t,
     )
+
+
+_CALIBRATIONS = {GP_STANDARDIZED: _normal_calibrated, GP_UNSTANDARDIZED: _mixture_calibrated}
+
+
+def gp_test_unstandardized(design: DesignMatrix, g, config: TestConfig) -> TestResult:
+    """Projection test calibrated against the weighted chi-square mixture.
+
+    The p-value is the exact mixture tail over the eigenvalues of
+    Sigma-hat, so it needs no random draws.
+    """
+    return _mixture_calibrated(design.J, _statistic_and_scale(design, g, config), config)
+
+
+def gp_test_standardized(design: DesignMatrix, g, config: TestConfig) -> TestResult:
+    """Projection test standardized by trace/Frobenius of Sigma-hat.
+
+    T = (S - trace Sigma) / (sqrt(2) ||Sigma||_F); rejects one-sided when
+    T exceeds the upper-alpha normal quantile.
+    """
+    return _normal_calibrated(design.J, _statistic_and_scale(design, g, config), config)
 
 
 def wald_projection_test(x_features, g, alpha: float = 0.05) -> TestResult:
@@ -220,6 +231,21 @@ def run_gp_test(
     return run_gp_tests(data, score, (basis_spec,), config, (variant,), K, rng)[0][0]
 
 
+def _designs(x: np.ndarray, basis_specs) -> list[DesignMatrix]:
+    """The design of every spec, in order.  Specs that differ only in J*
+    are nested: their design is built once, at their largest J*, and
+    restricted to each smaller one."""
+    def nest(spec):
+        return spec.family, spec.combination, spec.ranges
+
+    largest = {nest(spec): spec for spec in sorted(basis_specs, key=lambda spec: spec.j_star)}
+    built = {key: build_design(x, spec) for key, spec in largest.items()}
+    designs = [restrict(built[nest(spec)], spec.j_star) for spec in basis_specs]
+    for design in designs:
+        check_basis_columns(design.J, design.n)
+    return designs
+
+
 def run_gp_tests(
     data: Dataset,
     score: ScoreSpec,
@@ -232,9 +258,11 @@ def run_gp_tests(
     """Cross-fit the score once and run every variant on every basis.
 
     ``results[v][b]`` is ``variants[v]`` on ``basis_specs[b]``, all on the
-    same pseudo-outcomes.  Each basis's design is built once, directly
-    from its spec.  The Wald test uses no basis: it runs once and its
-    result object stands in every column of its row.
+    same pseudo-outcomes.  Specs that differ only in J* share one design,
+    built at their largest J*, and each design's statistic and Sigma-hat
+    are computed once for both GP variants.  The Wald test uses no
+    basis: it runs once and its result object stands in every column of
+    its row.
     """
     for variant in variants:
         if variant not in METHODS:
@@ -244,20 +272,17 @@ def run_gp_tests(
     fit = crossfit(data, score, K, rng)
     g = fit.pseudo_outcomes
     x = data.covariate_matrix(score.covariates)
-    designs = []
+    scales = []
     if any(variant != WALD_PROJECTION for variant in variants):
-        for spec in basis_specs:
-            design = build_design(x, spec)
-            check_basis_columns(design.J, design.n)
-            designs.append(design)
+        designs = _designs(x, basis_specs)
+        scales = [(design.J, _statistic_and_scale(design, g, config)) for design in designs]
     results = []
     for variant in variants:
         if variant == WALD_PROJECTION:
             wald = wald_projection_test(with_intercept(x), g, alpha=config.alpha)
             row = [wald] * len(basis_specs)
         else:
-            test = gp_test_standardized if variant == GP_STANDARDIZED else gp_test_unstandardized
-            row = [test(design, g, config) for design in designs]
+            row = [_CALIBRATIONS[variant](J, scale, config) for J, scale in scales]
         for result in row:
             result.diagnostics.update(fit.diagnostics)
         results.append(row)

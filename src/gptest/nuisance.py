@@ -96,7 +96,7 @@ def _gram_columns(features: np.ndarray):
     p = features.shape[1]
     pairs = [(a, b) for a in range(p) for b in range(a, p)]
     column = {pair: j for j, pair in enumerate(pairs)}
-    entry = [[column[min(a, b), max(a, b)] for b in range(p)] for a in range(p)]
+    entry = np.array([[column[min(a, b), max(a, b)] for b in range(p)] for a in range(p)])
     rows, cols = (list(side) for side in zip(*pairs))
     columns = features[:, rows]
     columns *= features[:, cols]
@@ -131,23 +131,34 @@ def _irls(features: np.ndarray, y: np.ndarray, weights: np.ndarray):
     running = np.arange(K)
     prob = np.empty((K, m))
     work = np.empty((K, m))
-    for _ in range(_LOGIT_MAX_ITER):
-        # prob = expit(eta) in place, in the 1 / (1 + exp(-eta)) form of dgp.expit
-        np.matmul(-beta, features.T, out=prob)
-        np.exp(prob, out=prob)
-        prob += 1.0
-        np.divide(1.0, prob, out=prob)
-        np.subtract(1.0, prob, out=work)
-        work *= prob
-        np.maximum(work, _LOGIT_MIN_WEIGHT, out=work)
-        work *= weights
-        gram = _grams(work, columns, entry)
-        np.subtract(y, prob, out=work)
-        work *= weights
-        grad = work @ features
-        step = _solve_normal(gram[running], grad[running])
-        beta[running] += step
-        capped = np.abs(beta[running]).max(axis=1) > _LOGIT_COEF_CAP
+    for step_no in range(_LOGIT_MAX_ITER):
+        if step_no == 0:
+            # at beta = 0 every probability is exactly 1/2 and every weight
+            # exactly 1/4, so this is the step below without its passes
+            gram = 0.25 * _grams(weights, columns, entry)
+            grad = (weights * (y - 0.5)) @ features
+        else:
+            # prob = expit(eta) in place, in the 1 / (1 + exp(-eta)) form of dgp.expit
+            np.matmul(-beta, features.T, out=prob)
+            np.exp(prob, out=prob)
+            prob += 1.0
+            np.divide(1.0, prob, out=prob)
+            np.subtract(1.0, prob, out=work)
+            work *= prob
+            np.maximum(work, _LOGIT_MIN_WEIGHT, out=work)
+            work *= weights
+            gram = _grams(work, columns, entry)
+            np.subtract(y, prob, out=work)
+            work *= weights
+            grad = work @ features
+        if running.size == K:
+            step = _solve_normal(gram, grad)
+            beta += step
+            capped = np.abs(beta).max(axis=1) > _LOGIT_COEF_CAP
+        else:
+            step = _solve_normal(gram[running], grad[running])
+            beta[running] += step
+            capped = np.abs(beta[running]).max(axis=1) > _LOGIT_COEF_CAP
         if capped.any():
             # only the capped fits can lie outside the cap
             np.clip(beta, -_LOGIT_COEF_CAP, _LOGIT_COEF_CAP, out=beta)
@@ -228,12 +239,16 @@ class _Folds:
         self.nonconverged = 0
 
     def training(self, stratum: np.ndarray, label: str):
-        """The stratum's row indices, its rows of the design and their
-        (K, m) training weights W[k, i] = fold_of[i] != k."""
-        rows = np.flatnonzero(stratum)
-        features = np.take(self.features, rows, axis=0)
-        fold_of = np.take(self.fold_of, rows)
-        counts = rows.size - np.bincount(fold_of, minlength=self.K)
+        """The stratum's rows (an index array, or a full slice for
+        ``everyone``), its rows of the design and their (K, m) training
+        weights W[k, i] = fold_of[i] != k."""
+        if stratum is self.everyone:
+            rows, features, fold_of = slice(None), self.features, self.fold_of
+        else:
+            rows = np.flatnonzero(stratum)
+            features = np.take(self.features, rows, axis=0)
+            fold_of = np.take(self.fold_of, rows)
+        counts = fold_of.size - np.bincount(fold_of, minlength=self.K)
         short = np.flatnonzero(counts < features.shape[1] + 1)
         if short.size:
             raise InsufficientStratum(
@@ -248,7 +263,7 @@ class _Folds:
         ``link`` 'logit' fits by IRLS, 'identity' by least squares.
         """
         rows, features, weights = self.training(stratum, label)
-        y = np.take(target, rows)
+        y = target[rows]
         if link == "logit":
             single = _single_class_folds(y, weights)
             if single.size:
@@ -334,24 +349,23 @@ def crossfit(data: Dataset, spec: sc.ScoreSpec, K: int, rng: RngStream) -> Cross
     """Out-of-fold pseudo-outcomes g(O_i; eta-hat without fold k(i)) for the given score.
 
     In oracle mode the analytic nuisances are evaluated at X and no
-    models are fit.
+    models are fit.  Both modes refuse non-finite pseudo-outcomes and
+    report the score's clip diagnostics.
     """
     x = data.covariate_matrix(spec.covariates)
     if spec.nuisance_mode == "oracle":
-        eta = spec.oracle(x)
-        return CrossFitResult(sc.evaluate_score(data, eta, spec), None, eta)
-    folds = _Folds(with_intercept(x), make_folds(data.n, K, rng), K)
-    eta = _FITTERS[spec.kind](data, spec, folds)
+        source, fold_of, eta, diagnostics = "the oracle", None, spec.oracle(x), {}
+    else:
+        folds = _Folds(with_intercept(x), make_folds(data.n, K, rng), K)
+        eta = _FITTERS[spec.kind](data, spec, folds)
+        source, fold_of = "cross-fitting", folds.fold_of
+        diagnostics = {"K": K, "nonconverged_fits": folds.nonconverged}
     pseudo = sc.evaluate_score(data, eta, spec)
     if not np.all(np.isfinite(pseudo)):
-        raise InvalidInput("cross-fitting produced non-finite pseudo-outcomes")
+        raise InvalidInput(f"{source} produced non-finite pseudo-outcomes")
     return CrossFitResult(
         pseudo_outcomes=pseudo,
-        fold_of=folds.fold_of,
+        fold_of=fold_of,
         nuisances=eta,
-        diagnostics={
-            "K": K,
-            "nonconverged_fits": folds.nonconverged,
-            **sc.clip_diagnostics(eta, spec),
-        },
+        diagnostics={**diagnostics, **sc.clip_diagnostics(eta, spec)},
     )

@@ -117,8 +117,10 @@ def g_iv_component(data: Dataset, bundle: dict, spec: ScoreSpec, j: int) -> np.n
     y0 = _need(bundle, f"mu_y{j}_0")
     compliance = _clip_signed(d1 - d0, spec.clip_denominator)
     effect_num = y1 - y0
-    aipw_y = z / pz * (y - y1) - (1.0 - z) / (1.0 - pz) * (y - y0)
-    aipw_d = z / pz * (d - d1) - (1.0 - z) / (1.0 - pz) * (d - d0)
+    w1 = z / pz
+    w0 = (1.0 - z) / (1.0 - pz)
+    aipw_y = w1 * (y - y1) - w0 * (y - y0)
+    aipw_d = w1 * (d - d1) - w0 * (d - d0)
     return (
         aipw_y / compliance
         - effect_num / compliance ** 2 * aipw_d

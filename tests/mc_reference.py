@@ -1,8 +1,11 @@
-"""Monte Carlo tail of a chi-square mixture: the reference that tests
-check the exact ``numerics.chisq_mixture_sf`` against.
+"""Reference implementations that tests check the package against.
 
-``gp_test_unstandardized`` calibrates with the exact tail; nothing in the
-package draws chi-square variates, so the sampler lives here.
+The Monte Carlo tail of a chi-square mixture is the reference for the
+exact ``numerics.chisq_mixture_sf``: ``gp_test_unstandardized``
+calibrates with the exact tail, and nothing in the package draws
+chi-square variates, so the sampler lives here.  ``irls_reference`` is
+the batched logistic Newton loop in its plain form, every step computed
+from the current coefficients.
 """
 
 import warnings
@@ -43,3 +46,37 @@ def weighted_chisq_pvalue(taus, s: float, draws: int, rng: RngStream) -> float:
         exceed += int(np.sum(mix >= s))
         done += m
     return exceed / draws
+
+
+def irls_reference(features, y, weights):
+    """Logistic coefficients (K, p) and converged flags (K,) of the K fits
+    weighted by the rows of ``weights``: Newton steps from zero, every
+    step's weights and gradient from the current coefficients, a fit
+    frozen once its step is below 1e-8 (converged) or a coefficient
+    passes 30 (clipped there, unconverged), at most 100 steps."""
+    K, m = weights.shape
+    p = features.shape[1]
+    pairs = [(a, b) for a in range(p) for b in range(a, p)]
+    column = {pair: j for j, pair in enumerate(pairs)}
+    entry = [[column[min(a, b), max(a, b)] for b in range(p)] for a in range(p)]
+    columns = features[:, [a for a, _ in pairs]]
+    columns *= features[:, [b for _, b in pairs]]
+    beta = np.zeros((K, p))
+    converged = np.zeros(K, dtype=bool)
+    running = np.arange(K)
+    for _ in range(100):
+        prob = 1.0 / (1.0 + np.exp(-beta @ features.T))
+        work = np.maximum((1.0 - prob) * prob, 1e-10) * weights
+        gram = (work @ columns)[:, entry]
+        grad = ((y - prob) * weights) @ features
+        step = np.linalg.solve(gram[running], grad[running][..., None])[..., 0]
+        beta[running] += step
+        capped = np.abs(beta[running]).max(axis=1) > 30.0
+        if capped.any():
+            np.clip(beta, -30.0, 30.0, out=beta)
+        small = np.abs(step).max(axis=1) < 1e-8
+        converged[running[small & ~capped]] = True
+        running = running[~(small | capped)]
+        if running.size == 0:
+            break
+    return beta, converged

@@ -11,6 +11,7 @@ from gptest.basis import (
     build_design,
     fourier_basis,
     legendre_orthonormal,
+    restrict,
 )
 from gptest.errors import InvalidInput, OutOfRange
 from gptest.numerics import gauss_legendre
@@ -178,3 +179,29 @@ class TestBoundDiagnostics:
     def test_constant_basis(self):
         xi, omega = basis_bound_diagnostics(BasisSpec(j_star=1))
         assert xi == 1.0 and omega == 1.0
+
+
+class TestRestrict:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("combination", [ADDITIVE, TENSOR])
+    @pytest.mark.parametrize("family", ["legendre", "fourier"])
+    def test_equals_direct_build_bit_for_bit(self, family, combination, d):
+        ranges = ((-1.0, 1.0), (0.0, 3.0), (-2.0, -0.5))[:d]
+        rng = np.random.default_rng(7 * d)
+        x = np.column_stack([rng.uniform(lo, hi, size=60) for lo, hi in ranges])
+        for big in range(2, 7):
+            spec = BasisSpec(family=family, j_star=big, combination=combination, ranges=ranges)
+            design = build_design(x, spec)
+            assert restrict(design, big) is design
+            for j_star in range(1, big):
+                small = restrict(design, j_star)
+                direct = build_design(x, BasisSpec(family, j_star, combination, ranges))
+                assert small.spec == direct.spec
+                assert small.values.flags.c_contiguous
+                assert small.values.tobytes() == direct.values.tobytes()
+
+    @pytest.mark.parametrize("j_star", [0, 5])
+    def test_only_smaller_positive_j_star(self, j_star):
+        design = build_design(np.zeros((4, 2)), BasisSpec(j_star=4))
+        with pytest.raises(InvalidInput, match="cannot restrict"):
+            restrict(design, j_star)

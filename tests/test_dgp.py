@@ -353,6 +353,42 @@ class TestCsvRoundTrip:
         with pytest.raises(SchemaError, match="empty"):
             read_csv(str(path))
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("\nX1,Y\n\n0.5,1\n\n", {"X1": [0.5], "Y": [1.0]}),
+            ("  \nX1,Y\n \t \n0.5,1\n  \n-2,3\n", {"X1": [0.5, -2.0], "Y": [1.0, 3.0]}),
+            ("X1,Y\n", {"X1": [], "Y": []}),
+            ("X1,Y\n\n \n", {"X1": [], "Y": []}),
+            ("X1,Y\r\n0.5,1\r\n-2,3\r\n", {"X1": [0.5, -2.0], "Y": [1.0, 3.0]}),
+            ("X1,Y\n0.5,1\n0.1,x\n", "non-numeric cell 'x' at row 2, column 'Y'"),
+            ("X1,Y\n0.5,1\n0.1\n", "row 2 has 1 cells, expected 2"),
+            ("X1,Y\n0.5,1,2\n0.1,2,3\n", "row 1 has 3 cells, expected 2"),
+            ("X1,Y\n1,2\n1_0,3\n", "cannot parse .* as numeric CSV: .*'1_0' .*at row 2, column 1"),
+            ("X1,X1\n1,2\n", "duplicate column name 'X1'"),
+            ("", "empty input file"),
+            ("X1,Y\n0.5,1\n0.1,nan\n", "non-finite value in column 'Y' at row 1"),
+        ],
+        ids=[
+            "blank_lines", "whitespace_lines", "header_only", "header_then_blank", "crlf",
+            "bad_cell", "short_row", "wide_rows", "digit_separator", "duplicate_name",
+            "empty_file", "nan_cell",
+        ],
+    )
+    def test_bulk_parse_and_line_scan_agree(self, tmp_path, text, expected):
+        # the single loadtxt pass over the open file reads the clean cases;
+        # the others fall back to the line scan, which names the bad row
+        path = tmp_path / "edge.csv"
+        path.write_bytes(text.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if isinstance(expected, str):
+                with pytest.raises(SchemaError, match=expected):
+                    read_csv(str(path))
+                return
+            data = read_csv(str(path))
+        assert {name: col.tolist() for name, col in data.columns.items()} == expected
+
     def test_missing_required_column(self, tmp_path):
         path = tmp_path / "partial.csv"
         path.write_text("X1,Y\n0.5,1.0\n")

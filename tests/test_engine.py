@@ -5,7 +5,7 @@ import pytest
 
 from gptest import engine
 
-from gptest.basis import BasisSpec, DesignMatrix
+from gptest.basis import BasisSpec, DesignMatrix, build_design, restrict
 from gptest.dgp import PanelAConfig, gen_panel_a, oracle_nuisances_panel_a
 from gptest.engine import (
     GP_STANDARDIZED,
@@ -22,6 +22,7 @@ from gptest.engine import (
 )
 from gptest.engine import TestConfig as EngineConfig
 from gptest.errors import DegenerateScale, InvalidInput, NotPSD
+from gptest.nuisance import crossfit
 from gptest.numerics import RngStream, chi2_sf, chisq_mixture_sf, normal_cdf
 from mc_reference import weighted_chisq_pvalue
 
@@ -355,6 +356,56 @@ class TestRunGpTest:
                 alone = run_gp_test(data, score, spec, cfg, variant, K=4, rng=RngStream(8))
                 assert results[v][b].to_dict() == alone.to_dict()
         assert results[1][0] is results[1][2]  # one Wald run serves every basis
+
+    def test_mixed_basis_families_in_input_order(self):
+        data, score = self._setup(n=500)
+        unit = ((-1.0, 1.0), (-1.0, 1.0))
+        specs = (
+            BasisSpec(j_star=4),
+            BasisSpec(family="fourier", j_star=3, combination="tensor"),
+            BasisSpec(j_star=2),
+            BasisSpec(family="fourier", j_star=4, combination="tensor"),
+            BasisSpec(j_star=3, ranges=((-2.0, 2.0), (-1.0, 1.0))),
+            BasisSpec(j_star=5, ranges=unit),
+            BasisSpec(j_star=4),
+        )
+        cfg = EngineConfig()
+        variants = (GP_UNSTANDARDIZED, GP_STANDARDIZED)
+        results = run_gp_tests(data, score, specs, cfg, variants)
+        fit = crossfit(data, score, 5, RngStream(0))
+        x = data.covariate_matrix(score.covariates)
+        for row, test in zip(results, (gp_test_unstandardized, gp_test_standardized)):
+            for result, spec in zip(row, specs):
+                alone = test(build_design(x, spec), fit.pseudo_outcomes, cfg)
+                assert result.J == spec.n_columns
+                assert result.to_dict() == {**alone.to_dict(), "diagnostics": fit.diagnostics}
+
+    def test_statistic_and_scale_once_per_design(self, monkeypatch):
+        calls = []
+        shared = engine._statistic_and_scale
+
+        def counted(design, g, config):
+            calls.append(design.J)
+            return shared(design, g, config)
+
+        monkeypatch.setattr(engine, "_statistic_and_scale", counted)
+        data, score = self._setup(n=400)
+        specs = (BasisSpec(j_star=3), BasisSpec(j_star=5), BasisSpec(j_star=2, combination="tensor"))
+        run_gp_tests(data, score, specs, EngineConfig(),
+                     (GP_STANDARDIZED, "wald", GP_UNSTANDARDIZED))
+        assert calls == [5, 9, 4]
+
+    def test_restricted_design_gives_same_projection_and_sigma(self):
+        rng = np.random.default_rng(62)
+        x = rng.uniform(-1.0, 1.0, size=(300, 2))
+        g = rng.standard_normal(300)
+        for combination in ("additive", "tensor"):
+            big = build_design(x, BasisSpec(j_star=6, combination=combination))
+            for j_star in range(1, 6):
+                small = restrict(big, j_star)
+                direct = build_design(x, BasisSpec(j_star=j_star, combination=combination))
+                assert projection_vector(small, g).tobytes() == projection_vector(direct, g).tobytes()
+                assert sigma_hat(small, g).tobytes() == sigma_hat(direct, g).tobytes()
 
     def test_to_dict_round_trip(self):
         import json

@@ -10,6 +10,9 @@ from gptest.dgp import (
     gen_panel_b,
     oracle_nuisances_panel_a,
 )
+from gptest import nuisance
+from gptest.engine import TestConfig as EngineConfig, run_gp_test
+from gptest.basis import BasisSpec
 from gptest.errors import DegenerateLabels, InsufficientStratum, InvalidInput, SingularDesign
 from gptest.nuisance import (
     crossfit,
@@ -19,7 +22,8 @@ from gptest.nuisance import (
     with_intercept,
 )
 from gptest.numerics import RngStream
-from gptest.scores import ScoreSpec
+from gptest.scores import ScoreSpec, clip_diagnostics
+from mc_reference import irls_reference
 
 
 class TestFitOls:
@@ -172,6 +176,30 @@ class TestCrossfit:
         res = crossfit(data, spec, K=5, rng=RngStream(0))
         assert res.fold_of is None
         assert np.array_equal(res.pseudo_outcomes, data.col("Y") * data.col("Z"))
+
+    def test_oracle_mode_reports_clip_diagnostics(self):
+        cfg = PanelAConfig(n=1000, seed=7)
+        data = gen_panel_a(cfg)
+        spec = ScoreSpec(nuisance_mode="oracle", oracle=oracle_nuisances_panel_a(cfg, a=0),
+                         clip_propensity=0.1)
+        res = crossfit(data, spec, K=5, rng=RngStream(0))
+        assert res.diagnostics == clip_diagnostics(res.nuisances, spec)
+        assert set(res.diagnostics) == {"min_propensity", "clipped_rows"}
+        assert res.diagnostics["clipped_rows"] > 0
+        result = run_gp_test(data, spec, BasisSpec(j_star=3), EngineConfig())
+        assert result.diagnostics == res.diagnostics
+
+    def test_oracle_non_finite_pseudo_outcomes_refused(self):
+        data = _condcov_null_dataset(300, 15)
+
+        def oracle(x):
+            mean_y = np.zeros(x.shape[0])
+            mean_y[3] = np.nan
+            return {"mean_y": mean_y, "mean_z": np.zeros(x.shape[0])}
+
+        spec = ScoreSpec(kind="conditional_covariance", nuisance_mode="oracle", oracle=oracle)
+        with pytest.raises(InvalidInput, match="the oracle produced non-finite pseudo-outcomes"):
+            crossfit(data, spec, K=5, rng=RngStream(0))
 
     def test_out_of_fold_purity(self):
         # corrupting the held-out fold's outcome must not move the
@@ -350,6 +378,66 @@ class TestBatchedMatchesPerFoldReference:
             np.testing.assert_allclose(res.nuisances[key], values, rtol=1e-10, atol=0, err_msg=key)
         assert res.diagnostics["nonconverged_fits"] == nonconverged
         assert nonconverged == _EXPECTED_NONCONVERGED.get(case, 0)
+
+
+def _fold_weights(fold_of):
+    return (fold_of != np.arange(int(fold_of.max()) + 1)[:, None]).astype(float)
+
+
+def _random_logistic_case(seed, m, p, K):
+    rng = np.random.default_rng(seed)
+    features = with_intercept(rng.standard_normal((m, p - 1)))
+    y = (rng.random(m) < expit(features @ rng.normal(0.0, 1.0, p))).astype(float)
+    weights = np.ones((1, m)) if K == 1 else _fold_weights(make_folds(m, K, RngStream(seed)))
+    return features, y, weights
+
+
+def _dataset_logistic_case(make_data):
+    data = make_data()
+    features = with_intercept(data.covariate_matrix(("X1", "X2")))
+    return features, data.col("Y"), _fold_weights(make_folds(data.n, 4, RngStream(7)))
+
+
+def _uneven_logistic_case():
+    # fit 0 trains on 60 rows, fit 1 on 300 and fit 2 on all 600: two fits
+    # converge after 7 Newton steps and the third after 9, so the last two
+    # steps run on a subset of the fits
+    rng = np.random.default_rng(5)
+    features = with_intercept(rng.standard_normal((600, 2)))
+    y = (rng.random(600) < expit(features @ [0.6, 2.0, -2.0])).astype(float)
+    weights = np.ones((3, 600))
+    weights[0, 60:] = 0.0
+    weights[1, :300] = 0.0
+    return features, y, weights
+
+
+_NEWTON_CASES = {
+    "random_K1": lambda: _random_logistic_case(31, 300, 3, 1),
+    "random_K3_p2": lambda: _random_logistic_case(32, 200, 2, 3),
+    "random_K5_p3": lambda: _random_logistic_case(33, 1000, 3, 5),
+    "random_K5_p5": lambda: _random_logistic_case(34, 3000, 5, 5),
+    "separated_K4": lambda: _dataset_logistic_case(_separated_condcov_dataset),
+    "one_fold_separated_K4": lambda: _dataset_logistic_case(_one_fold_separated_dataset),
+    "uneven_fits": _uneven_logistic_case,
+}
+
+
+class TestNewtonLoopMatchesReference:
+    @pytest.mark.parametrize("case", sorted(_NEWTON_CASES))
+    def test_coefficients_and_flags_exact(self, case):
+        features, y, weights = _NEWTON_CASES[case]()
+        beta, converged = nuisance._irls(features, y, weights)
+        ref_beta, ref_converged = irls_reference(features, y, weights)
+        assert beta.tobytes() == ref_beta.tobytes()
+        assert np.array_equal(converged, ref_converged)
+        capped = np.abs(beta).max(axis=1) == 30.0
+        if case == "separated_K4":
+            assert capped.all() and not converged.any()
+        elif case == "one_fold_separated_K4":
+            assert capped.tolist() == [True, False, False, False]
+            assert converged.tolist() == [False, True, True, True]
+        else:
+            assert converged.all()
 
 
 def _with_columns(data, **changes):
