@@ -25,7 +25,7 @@ from .dgp import (
     write_csv,
 )
 from .harness import RejectionTable, SimGridConfig, run_cell, run_grid
-from .nuisance import crossfit, fit_logistic, fit_ols, make_folds
+from .nuisance import crossfit, make_folds
 from .numerics import RngStream
 from .scores import ScoreSpec, evaluate_score, orthogonality_diagnostic
 
@@ -42,7 +42,7 @@ __all__ = [
     "oracle_nuisances_panel_a", "oracle_nuisances_panel_b",
     "read_csv", "write_csv",
     "RejectionTable", "SimGridConfig", "run_cell", "run_grid",
-    "crossfit", "fit_logistic", "fit_ols", "make_folds",
+    "crossfit", "make_folds",
     "RngStream",
     "ScoreSpec", "evaluate_score", "orthogonality_diagnostic",
 ]

@@ -89,16 +89,6 @@ def _legendre(x: np.ndarray, j_max: int) -> list[np.ndarray]:
     return p
 
 
-def legendre_orthonormal(j: int, x):
-    """Orthonormal Legendre polynomial p_j on [-1, 1].
-
-    p_j = sqrt(2j + 1) * P_j with P_j the classical Legendre polynomial
-    from the three-term recurrence; the scaling makes (1/2) * int p_j^2 = 1.
-    """
-    x = np.clip(np.asarray(x, dtype=float), -1.0, 1.0)
-    return np.sqrt(2.0 * j + 1.0) * _legendre(x, j)[j]
-
-
 def _fourier(j: int, x: np.ndarray) -> np.ndarray:
     if j == 0:
         return np.ones_like(x)
@@ -106,14 +96,6 @@ def _fourier(j: int, x: np.ndarray) -> np.ndarray:
     if j % 2 == 1:
         return np.sqrt(2.0) * np.cos(k * np.pi * x)
     return np.sqrt(2.0) * np.sin(k * np.pi * x)
-
-
-def fourier_basis(j: int, x):
-    """Orthonormal Fourier element on [-1, 1].
-
-    j=0 -> 1; j=2k-1 -> sqrt(2) cos(k pi x); j=2k -> sqrt(2) sin(k pi x).
-    """
-    return _fourier(j, np.clip(np.asarray(x, dtype=float), -1.0, 1.0))
 
 
 def _axis_design(family: str, z: np.ndarray, j_star: int) -> np.ndarray:
@@ -138,7 +120,7 @@ def _rescale(x: np.ndarray, lo: float, hi: float, axis_idx: int) -> np.ndarray:
     if np.any(bad):
         row = int(np.argmax(bad))
         raise OutOfRange(
-            f"covariate {axis_idx} out of range at row {row}: value {x[row]!r}"
+            f"covariate {axis_idx} out of range at row {row + 1}: value {x[row]!r}"
         )
     return np.clip(z, -1.0, 1.0)
 

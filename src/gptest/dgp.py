@@ -19,13 +19,8 @@ import numpy as np
 from .errors import InvalidConfig, SchemaError
 from .numerics import RngStream
 
-PANEL_A_COLUMNS = ("X1", "X2", "S", "A", "Y")
 PANEL_A_BINARY = ("S", "A")
-PANEL_B_COLUMNS = ("X1", "X2", "Z1", "Z2", "D", "Y")
 PANEL_B_BINARY = ("Z1", "Z2", "D")
-
-# Panel B principal strata, in the order used for membership sampling.
-STRATA = ("ANT", "SCO1", "SCO2", "RCO", "ECO")
 
 
 def expit(x):
@@ -50,7 +45,7 @@ class Dataset:
             arr = np.asarray(self.columns[name], dtype=float)
             if not np.all(np.isfinite(arr)):
                 row = int(np.argmax(~np.isfinite(arr)))
-                raise SchemaError(f"non-finite value in column {name!r} at row {row}")
+                raise SchemaError(f"non-finite value in column {name!r} at row {row + 1}")
             self.columns[name] = arr
         for name in self.binary:
             if name not in self.columns:
@@ -60,7 +55,7 @@ class Dataset:
             if np.any(bad):
                 row = int(np.argmax(bad))
                 raise SchemaError(
-                    f"binary column {name!r} has value {vals[row]!r} at row {row}"
+                    f"binary column {name!r} has value {vals[row]!r} at row {row + 1}"
                 )
 
     @property

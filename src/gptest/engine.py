@@ -19,7 +19,9 @@ from .basis import BasisSpec, DesignMatrix, build_design, restrict
 from .errors import DegenerateScale, InvalidInput, NotPSD
 from .dgp import Dataset
 from .nuisance import crossfit, with_intercept
-from .numerics import RngStream, chi2_sf, chisq_mixture_sf, normal_cdf, psd_sqrt, sym_eigen
+from .numerics import (
+    RIDGE_JITTER, RngStream, chi2_sf, chisq_mixture_sf, normal_cdf, psd_sqrt, sym_eigen,
+)
 from .scores import ScoreSpec
 
 GP_STANDARDIZED = "gp_standardized"
@@ -192,7 +194,7 @@ def wald_projection_test(x_features, g, alpha: float = 0.05) -> TestResult:
         raise InvalidInput(f"need n > d, got n={n}, d={d}")
     gram = x_features.T @ x_features / n
     moment = x_features.T @ g / n
-    jitter = _RIDGE * np.eye(d)
+    jitter = RIDGE_JITTER * np.eye(d)
     theta = np.linalg.solve(gram + jitter, moment)
     resid = g - x_features @ theta
     meat = (x_features * resid[:, None] ** 2).T @ x_features / n
@@ -207,9 +209,6 @@ def wald_projection_test(x_features, g, alpha: float = 0.05) -> TestResult:
         theta_ls=theta,
         wald_df=d,
     )
-
-
-_RIDGE = 1e-10
 
 
 def check_basis_columns(J: int, n: int) -> None:

@@ -21,10 +21,6 @@ class SingularDesign(GptestError):
     pass
 
 
-class DegenerateLabels(GptestError):
-    pass
-
-
 class DegenerateScale(GptestError):
     pass
 

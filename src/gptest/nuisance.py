@@ -10,8 +10,7 @@ out-of-fold values; the score is then evaluated once on the full sample.
 The K fold fits of one nuisance model are solved together: the model's
 stratum rows are gathered once, fold k weights them by
 ``fold_of[i] != k``, and the K weighted normal equations (or Newton
-steps) are solved as one stack.  ``fit_ols`` and ``fit_logistic`` are
-the K = 1 case of the same solvers.
+steps) are solved as one stack.
 """
 
 from __future__ import annotations
@@ -20,34 +19,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateLabels,
-    InsufficientStratum,
-    InvalidInput,
-    SingularDesign,
-)
+from .errors import InsufficientStratum, InvalidInput, SingularDesign
 from .dgp import Dataset, expit
-from .numerics import RngStream
+from .numerics import RIDGE_JITTER, RngStream
 from . import scores as sc
 
-_RIDGE_JITTER = 1e-10
 _LOGIT_MAX_ITER = 100
 _LOGIT_TOL = 1e-8
 _LOGIT_COEF_CAP = 30.0
 _LOGIT_MIN_WEIGHT = 1e-10
-
-
-@dataclass
-class LinearFit:
-    """Fitted linear model; ``link`` is 'identity' or 'logit'."""
-
-    coefficients: np.ndarray  # intercept first
-    link: str = "identity"
-    converged: bool = True
-
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        eta = features @ self.coefficients
-        return expit(eta) if self.link == "logit" else eta
 
 
 @dataclass
@@ -70,7 +50,7 @@ def _solve_one(gram: np.ndarray, moment: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.solve(gram, moment)
     except np.linalg.LinAlgError:
-        jittered = gram + _RIDGE_JITTER * np.eye(gram.shape[0])
+        jittered = gram + RIDGE_JITTER * np.eye(gram.shape[0])
         try:
             return np.linalg.solve(jittered, moment)
         except np.linalg.LinAlgError:
@@ -168,33 +148,6 @@ def _irls(features: np.ndarray, y: np.ndarray, weights: np.ndarray):
         if running.size == 0:
             break
     return beta, converged
-
-
-def fit_ols(features: np.ndarray, y: np.ndarray) -> LinearFit:
-    """Least squares fit; near-singular designs get a 1e-10 ridge jitter."""
-    features = np.asarray(features, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n, p = features.shape
-    if n <= p:
-        raise SingularDesign(f"need n > p, got n={n}, p={p}")
-    beta = _lstsq(features, y, np.ones((1, n)))[0]
-    return LinearFit(coefficients=beta, link="identity")
-
-
-def fit_logistic(features: np.ndarray, y: np.ndarray) -> LinearFit:
-    """Logistic regression by iteratively reweighted least squares.
-
-    Coefficients are capped at magnitude 30 as a separation guard; a fit
-    that hits the cap or the iteration budget is returned with
-    ``converged=False`` rather than raising.
-    """
-    features = np.asarray(features, dtype=float)
-    y = np.asarray(y, dtype=float)
-    classes = np.unique(y)
-    if classes.size < 2:
-        raise DegenerateLabels("logistic fit needs both classes present")
-    beta, converged = _irls(features, y, np.ones((1, features.shape[0])))
-    return LinearFit(coefficients=beta[0], link="logit", converged=bool(converged[0]))
 
 
 def check_folds(K: int, n: int | None = None) -> int:
@@ -323,7 +276,7 @@ def _fit_parametric(data: Dataset, spec: sc.ScoreSpec, folds: _Folds):
     _, features, weights = folds.training(everyone, "Y")
     p = features.shape[1]
     gram = _grams(weights, *_gram_columns(features)) / weights.sum(axis=1)[:, None, None]
-    gram_inv = np.linalg.inv(gram + _RIDGE_JITTER * np.eye(p))
+    gram_inv = np.linalg.inv(gram + RIDGE_JITTER * np.eye(p))
     feats = folds.features
     leverage = np.einsum("ij,ijk,ik->i", feats, gram_inv[folds.fold_of], feats)
     return {"h": h, "leverage": leverage}

@@ -19,6 +19,9 @@ from .errors import InvalidInput, NotPSD
 
 # Odd 64-bit constant used to derive child stream seeds (splitmix64 increment).
 _STREAM_SALT = 0x9E3779B97F4A7C15
+# Ridge jitter added to the diagonal of a Gram or sandwich-meat matrix so
+# that an exactly singular one can still be solved.
+RIDGE_JITTER = 1e-10
 
 
 def _as_sym(a) -> np.ndarray:
@@ -99,14 +102,6 @@ class RngStream:
         """Derive a child stream; deterministic in (seed, index)."""
         mixed = (self.seed ^ ((index + 1) * _STREAM_SALT)) & 0xFFFFFFFFFFFFFFFF
         return RngStream(mixed)
-
-
-def gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """m-point Gauss-Legendre nodes and weights on [-1, 1]."""
-    if not (1 <= m <= 64):
-        raise InvalidInput(f"quadrature order {m} outside [1, 64]")
-    nodes, weights = np.polynomial.legendre.leggauss(m)
-    return nodes, weights
 
 
 def normal_cdf(x):

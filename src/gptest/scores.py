@@ -182,11 +182,12 @@ def clip_diagnostics(bundle: dict, spec: ScoreSpec) -> dict:
         denominators = [_need(bundle, f"mu_d{j}_1") - _need(bundle, f"mu_d{j}_0") for j in (1, 2)]
     else:
         return {}
+    cp = spec.clip_propensity
     clipped = np.zeros(propensities[0].shape, dtype=bool)
     for p in propensities:
-        clipped |= _clip_prob(p, spec.clip_propensity) != p
+        clipped |= (p < cp) | (p > 1.0 - cp)
     for d in denominators:
-        clipped |= _clip_signed(d, spec.clip_denominator) != d
+        clipped |= np.abs(d) < spec.clip_denominator
     return {
         "min_propensity": float(min(p.min() for p in propensities)),
         "clipped_rows": int(clipped.sum()),

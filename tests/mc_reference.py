@@ -5,12 +5,14 @@ exact ``numerics.chisq_mixture_sf``: ``gp_test_unstandardized``
 calibrates with the exact tail, and nothing in the package draws
 chi-square variates, so the sampler lives here.  ``irls_reference`` is
 the batched logistic Newton loop in its plain form, every step computed
-from the current coefficients.
+from the current coefficients.  ``basis_reference`` evaluates one basis
+function without the recurrence and the helpers of ``gptest.basis``.
 """
 
 import warnings
 
 import numpy as np
+from numpy.polynomial.legendre import Legendre
 
 from gptest.errors import InvalidInput
 from gptest.numerics import RngStream
@@ -80,3 +82,16 @@ def irls_reference(features, y, weights):
         if running.size == 0:
             break
     return beta, converged
+
+
+def basis_reference(family: str, j: int, z):
+    """Orthonormal basis function b_j at z in [-1, 1]: sqrt(2j + 1) times
+    numpy's Legendre polynomial P_j, or 1, sqrt(2) cos(k pi z) for
+    j = 2k - 1 and sqrt(2) sin(k pi z) for j = 2k."""
+    z = np.asarray(z, dtype=float)
+    if family == "legendre":
+        return Legendre.basis(j)(z) * np.sqrt(2.0 * j + 1.0)
+    if j == 0:
+        return np.ones_like(z)
+    k = (j + 1) // 2
+    return np.sqrt(2.0) * (np.cos if j % 2 == 1 else np.sin)(k * np.pi * z)

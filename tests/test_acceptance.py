@@ -9,7 +9,7 @@ import concurrent.futures
 
 import numpy as np
 
-from gptest.basis import BasisSpec, fourier_basis, legendre_orthonormal
+from gptest.basis import BasisSpec, build_design
 from gptest.dgp import (
     PanelAConfig,
     PanelBConfig,
@@ -20,7 +20,7 @@ from gptest.dgp import (
     oracle_nuisances_panel_b,
 )
 from gptest.harness import SimGridConfig, run_cell, run_grid
-from gptest.numerics import RngStream, gauss_legendre, sym_eigen
+from gptest.numerics import RngStream, sym_eigen
 from gptest.scores import ScoreSpec, orthogonality_diagnostic
 from mc_reference import weighted_chisq_pvalue
 
@@ -239,12 +239,16 @@ def test_criterion_9_orthogonality_diagnostic(criterion_report):
 
 
 def test_criterion_10_basis_orthonormality(criterion_report):
-    nodes, weights = gauss_legendre(64)
+    # both families through the design the replications build, J* = 11 on
+    # the 64 Gauss-Legendre nodes
+    nodes, weights = np.polynomial.legendre.leggauss(64)
     worst = 0.0
-    for fn in (legendre_orthonormal, fourier_basis):
+    for family in ("legendre", "fourier"):
+        spec = BasisSpec(family=family, j_star=11, ranges=((-1.0, 1.0),))
+        values = build_design(nodes, spec).values
         for j in range(11):
             for k in range(11):
-                inner = 0.5 * np.sum(weights * fn(j, nodes) * fn(k, nodes))
+                inner = 0.5 * np.sum(weights * values[:, j] * values[:, k])
                 worst = max(worst, abs(inner - (1.0 if j == k else 0.0)))
     ok = worst < 1e-10
     criterion_report(10, ok, f"basis Gram deviation {worst:.2e} for j,k <= 10, both families")

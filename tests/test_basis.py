@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from gptest.basis import (
     ADDITIVE,
@@ -9,41 +10,42 @@ from gptest.basis import (
     BasisSpec,
     basis_bound_diagnostics,
     build_design,
-    fourier_basis,
-    legendre_orthonormal,
     restrict,
 )
 from gptest.errors import InvalidInput, OutOfRange
-from gptest.numerics import gauss_legendre
+from mc_reference import basis_reference
 
 
-def quad_inner(f, g, order=64):
-    """(1/2) * integral over [-1, 1] of f * g by Gauss-Legendre quadrature."""
-    nodes, weights = gauss_legendre(order)
-    return 0.5 * np.sum(weights * f(nodes) * g(nodes))
+def axis_values(family, j_star, x):
+    """b_0(x), ..., b_{J*-1}(x) of one covariate on [-1, 1], one column each,
+    as ``build_design`` evaluates them."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    spec = BasisSpec(family=family, j_star=j_star, ranges=((-1.0, 1.0),))
+    return build_design(x[:, None], spec).values
 
 
 class TestLegendre:
     def test_degree_zero_constant(self):
         x = np.linspace(-1, 1, 11)
-        assert np.all(legendre_orthonormal(0, x) == 1.0)
+        assert np.all(axis_values("legendre", 1, x)[:, 0] == 1.0)
 
     def test_degree_one_at_one(self):
         # Gram-Schmidt on monomials under the uniform measure gives sqrt(3) * x
-        assert legendre_orthonormal(1, 1.0) == pytest.approx(np.sqrt(3.0))
+        assert axis_values("legendre", 2, 1.0)[0, 1] == pytest.approx(np.sqrt(3.0))
 
     def test_degree_two_at_one(self):
         # p2(x) = sqrt(5) * (3 x^2 - 1) / 2
-        assert legendre_orthonormal(2, 1.0) == pytest.approx(np.sqrt(5.0))
-        assert legendre_orthonormal(2, 0.0) == pytest.approx(-np.sqrt(5.0) / 2.0)
+        p2 = axis_values("legendre", 3, [1.0, 0.0])[:, 2]
+        assert p2 == pytest.approx([np.sqrt(5.0), -np.sqrt(5.0) / 2.0])
 
     def test_degree_cap(self):
-        with pytest.raises(InvalidInput):
-            legendre_orthonormal(65, 0.5)
+        # J* = 66 needs degree 65, one past the recurrence budget
+        with pytest.raises(InvalidInput, match="degree 65"):
+            axis_values("legendre", 66, 0.5)
 
     def test_gram_schmidt_oracle_low_degrees(self):
         # independent construction: orthonormalize monomials by quadrature
-        nodes, weights = gauss_legendre(64)
+        nodes, weights = leggauss(64)
         monos = [nodes ** k for k in range(5)]
         ortho = []
         for m in monos:
@@ -52,32 +54,35 @@ class TestLegendre:
                 v = v - 0.5 * np.sum(weights * v * q) * q
             v = v / np.sqrt(0.5 * np.sum(weights * v * v))
             ortho.append(v)
+        direct = axis_values("legendre", 5, nodes)
         for j in range(5):
-            direct = legendre_orthonormal(j, nodes)
-            sign = np.sign(direct[-1]) * np.sign(ortho[j][-1])
-            assert np.allclose(direct, sign * ortho[j], atol=1e-10)
+            sign = np.sign(direct[-1, j]) * np.sign(ortho[j][-1])
+            assert np.allclose(direct[:, j], sign * ortho[j], atol=1e-10)
 
 
 class TestFourier:
     def test_constant(self):
-        assert fourier_basis(0, 0.3) == 1.0
+        assert axis_values("fourier", 1, 0.3)[0, 0] == 1.0
 
     def test_first_cosine_at_zero(self):
-        assert fourier_basis(1, 0.0) == pytest.approx(np.sqrt(2.0))
+        assert axis_values("fourier", 2, 0.0)[0, 1] == pytest.approx(np.sqrt(2.0))
 
     def test_cos_sin_pairing(self):
         x = np.linspace(-1, 1, 7)
-        assert np.allclose(fourier_basis(2, x), np.sqrt(2.0) * np.sin(np.pi * x))
-        assert np.allclose(fourier_basis(3, x), np.sqrt(2.0) * np.cos(2 * np.pi * x))
+        values = axis_values("fourier", 4, x)
+        assert np.allclose(values[:, 2], np.sqrt(2.0) * np.sin(np.pi * x))
+        assert np.allclose(values[:, 3], np.sqrt(2.0) * np.cos(2 * np.pi * x))
 
 
 @pytest.mark.parametrize("family", ["legendre", "fourier"])
 def test_orthonormality_by_quadrature(family):
-    fn = legendre_orthonormal if family == "legendre" else fourier_basis
-    for j in range(11):
-        for k in range(j, 11):
-            inner = quad_inner(lambda x: fn(j, x), lambda x: fn(k, x))
-            assert inner == pytest.approx(1.0 if j == k else 0.0, abs=1e-10)
+    # the 64-point rule on [0, 3], rescaled by the design: the Gram matrix
+    # under the uniform measure is the identity for j, k <= 10
+    nodes, weights = leggauss(64)
+    spec = BasisSpec(family=family, j_star=11, ranges=((0.0, 3.0),))
+    values = build_design(1.5 * (nodes + 1.0), spec).values
+    gram = 0.5 * (values * weights[:, None]).T @ values
+    assert np.abs(gram - np.eye(11)).max() < 1e-10
 
 
 class TestBuildDesign:
@@ -117,7 +122,7 @@ class TestBuildDesign:
         spec = BasisSpec(j_star=3)
         x = np.zeros((3, 2))
         x[2, 1] = 1.5
-        with pytest.raises(OutOfRange, match="covariate 1.*row 2"):
+        with pytest.raises(OutOfRange, match="covariate 1 out of range at row 3: value"):
             build_design(x, spec)
 
     def test_deterministic(self):
@@ -135,9 +140,16 @@ class TestBuildDesign:
 
 
 def reference_design(x, spec):
-    """Column-by-column design from the public one-degree functions."""
-    fn = legendre_orthonormal if spec.family == "legendre" else fourier_basis
-    z = [2.0 * (x[:, k] - lo) / (hi - lo) - 1.0 for k, (lo, hi) in enumerate(spec.ranges)]
+    """Column-by-column design from ``basis_reference``, which shares no
+    code with ``gptest.basis``."""
+    z = [
+        np.clip(2.0 * (x[:, k] - lo) / (hi - lo) - 1.0, -1.0, 1.0)
+        for k, (lo, hi) in enumerate(spec.ranges)
+    ]
+
+    def fn(j, z_k):
+        return basis_reference(spec.family, j, z_k)
+
     if spec.combination == ADDITIVE:
         cols = [np.ones(len(x))] + [fn(j, z_k) for z_k in z for j in range(1, spec.j_star)]
     else:
@@ -162,7 +174,14 @@ def test_design_bit_identical_to_per_degree_reference(family, combination, d, j_
     spec = BasisSpec(family=family, j_star=j_star, combination=combination, ranges=ranges)
     values = build_design(x, spec).values
     assert values.flags.c_contiguous
-    assert np.array_equal(values, reference_design(x, spec))
+    reference = reference_design(x, spec)
+    if family == "fourier":
+        # the reference evaluates the same closed form, operation for operation
+        assert np.array_equal(values, reference)
+    else:
+        # numpy sums the Legendre series by Clenshaw's recurrence, which
+        # rounds differently from the three-term recurrence above degree 2
+        np.testing.assert_allclose(values, reference, rtol=1e-13, atol=1e-13)
 
 
 class TestBoundDiagnostics:

@@ -30,7 +30,7 @@ class TestDataset:
     @pytest.mark.parametrize("bad", [2.0, 0.5])
     def test_binary_violation_located(self, bad):
         a = np.array([1.0, 0.0, bad, 0.0])
-        with pytest.raises(SchemaError, match=rf"binary column 'A' has value .*{bad}.* at row 2$"):
+        with pytest.raises(SchemaError, match=rf"binary column 'A' has value .*{bad}.* at row 3$"):
             Dataset(columns={"S": np.zeros(4), "A": a}, binary=("S", "A"))
 
     def test_length_mismatch(self):
@@ -344,7 +344,7 @@ class TestCsvRoundTrip:
     def test_non_finite_cell_refused(self, tmp_path):
         path = tmp_path / "inf.csv"
         path.write_text("X1,Y\n0.5,1\n-inf,2\n")
-        with pytest.raises(SchemaError, match="non-finite value in column 'X1' at row 1"):
+        with pytest.raises(SchemaError, match="non-finite value in column 'X1' at row 2$"):
             read_csv(str(path))
 
     def test_empty_file(self, tmp_path):
@@ -367,7 +367,7 @@ class TestCsvRoundTrip:
             ("X1,Y\n1,2\n1_0,3\n", "cannot parse .* as numeric CSV: .*'1_0' .*at row 2, column 1"),
             ("X1,X1\n1,2\n", "duplicate column name 'X1'"),
             ("", "empty input file"),
-            ("X1,Y\n0.5,1\n0.1,nan\n", "non-finite value in column 'Y' at row 1"),
+            ("X1,Y\n0.5,1\n0.1,nan\n", "non-finite value in column 'Y' at row 2"),
         ],
         ids=[
             "blank_lines", "whitespace_lines", "header_only", "header_then_blank", "crlf",

@@ -1,9 +1,13 @@
-"""Modules of the package reach one another only through public names.
+"""Modules of the package reach one another only through public names,
+and every module-level name is used.
 
 Every module under ``src/gptest`` is parsed with ``ast``; a module fails
 if it imports a leading-underscore name from another package module
 (``from .mod import _name``) or reads one off an imported package module
-(``mod._name``).  Dunder names such as ``__version__`` are public.
+(``mod._name``).  Dunder names such as ``__version__`` are public.  The
+package fails if a module-level function, class or constant is read
+nowhere in the package outside its own definition and is not exported
+in ``gptest.__all__``.
 """
 
 import ast
@@ -96,3 +100,65 @@ def test_detector_flags_private_use(source):
 )
 def test_detector_allows_public_and_local_use(source):
     assert private_uses(source) == []
+
+
+def _definitions(tree):
+    """(name, statement) for each function, class and constant a module
+    defines at its top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node
+
+
+def _reads(statement) -> set[str]:
+    """Every name a statement reads, as a plain name or as an attribute."""
+    names = set()
+    for node in ast.walk(statement):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def unreferenced_names(sources: dict[str, str]) -> list[str]:
+    """'module.name' for each top-level definition in ``sources`` (module
+    stem to source, ``__init__`` included) that no other top-level
+    statement reads and ``__init__.__all__`` does not list."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    exported = set()
+    for node in trees["__init__"].body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            exported = set(ast.literal_eval(node.value))
+    reads = [(statement, _reads(statement)) for tree in trees.values() for statement in tree.body]
+    found = []
+    for module, tree in trees.items():
+        defined = {}
+        for name, statement in _definitions(tree):
+            defined.setdefault(name, []).append(statement)
+        for name, own in defined.items():
+            if name in exported or (name.startswith("__") and name.endswith("__")):
+                continue
+            if not any(name in names for statement, names in reads if statement not in own):
+                found.append(f"{module}.{name}")
+    return sorted(found)
+
+
+def test_every_module_level_name_is_used():
+    assert unreferenced_names({path.stem: path.read_text() for path in MODULES}) == []
+
+
+def test_detector_flags_unused_names():
+    sources = {
+        "__init__": "from .m import f\n__all__ = ['f']\n__version__ = '0'\n",
+        "m": "def f():\n    return h\n\ndef g():\n    return g()\n\nX, h = 1, 2\n",
+    }
+    assert unreferenced_names(sources) == ["m.X", "m.g"]

@@ -10,55 +10,58 @@ from gptest.dgp import (
     gen_panel_b,
     oracle_nuisances_panel_a,
 )
-from gptest import nuisance
+from gptest import nuisance, scores
 from gptest.engine import TestConfig as EngineConfig, run_gp_test
 from gptest.basis import BasisSpec
-from gptest.errors import DegenerateLabels, InsufficientStratum, InvalidInput, SingularDesign
-from gptest.nuisance import (
-    crossfit,
-    fit_logistic,
-    fit_ols,
-    make_folds,
-    with_intercept,
-)
+from gptest.errors import InsufficientStratum, InvalidInput, SingularDesign
+from gptest.nuisance import crossfit, make_folds, with_intercept
 from gptest.numerics import RngStream
 from gptest.scores import ScoreSpec, clip_diagnostics
 from mc_reference import irls_reference
 
 
+def ols(features, y):
+    """Least squares coefficients from the cross-fit solver, as one fit on every row."""
+    return nuisance._lstsq(features, y, np.ones((1, len(y))))[0]
+
+
+def logistic(features, y):
+    """Logistic coefficients and converged flag from the cross-fit solver,
+    as one fit on every row."""
+    beta, converged = nuisance._irls(features, y, np.ones((1, len(y))))
+    return beta[0], bool(converged[0])
+
+
 class TestFitOls:
     def test_exact_linear_data(self):
         x = np.linspace(-1, 1, 50)
-        fit = fit_ols(with_intercept(x), 2.0 * x)
-        assert np.allclose(fit.coefficients, [0.0, 2.0], atol=1e-10)
+        assert np.allclose(ols(with_intercept(x), 2.0 * x), [0.0, 2.0], atol=1e-10)
 
     def test_constant_target(self):
         x = np.linspace(0, 1, 30)
-        fit = fit_ols(with_intercept(x), np.full(30, 3.5))
-        assert np.allclose(fit.coefficients, [3.5, 0.0], atol=1e-10)
+        assert np.allclose(ols(with_intercept(x), np.full(30, 3.5)), [3.5, 0.0], atol=1e-10)
 
     def test_noisy_slope_within_standard_error(self):
         rng = np.random.default_rng(8)
         n = 10_000
         x = rng.uniform(-1, 1, n)
         y = x + rng.standard_normal(n)
-        fit = fit_ols(with_intercept(x), y)
+        beta = ols(with_intercept(x), y)
         se = 1.0 / np.sqrt(n * np.var(x))
-        assert abs(fit.coefficients[1] - 1.0) < 3.0 * se
+        assert abs(beta[1] - 1.0) < 3.0 * se
 
     def test_residual_orthogonality(self):
         rng = np.random.default_rng(9)
         feats = with_intercept(rng.uniform(-1, 1, size=(500, 3)))
         y = rng.standard_normal(500)
-        fit = fit_ols(feats, y)
-        resid = y - fit.predict(feats)
+        resid = y - feats @ ols(feats, y)
         assert np.max(np.abs(feats.T @ resid)) < 1e-8 * np.linalg.norm(y)
 
     def test_singular_even_with_jitter(self):
         # two equal columns of 1e10 make F'F all-equal entries of 3e20, and
         # the 1e-10 ridge jitter is lost in rounding
         with pytest.raises(SingularDesign):
-            fit_ols(np.full((3, 2), 1e10), np.arange(3.0))
+            ols(np.full((3, 2), 1e10), np.arange(3.0))
 
 
 class TestFitLogistic:
@@ -66,38 +69,33 @@ class TestFitLogistic:
         rng = np.random.default_rng(10)
         x = rng.uniform(-1, 1, 2000)
         y = (rng.random(2000) < 0.5).astype(float)
-        fit = fit_logistic(with_intercept(x), y)
-        preds = fit.predict(with_intercept(x))
-        assert abs(fit.coefficients[0]) < 0.2
-        assert np.all(np.abs(preds - 0.5) < 0.2)
+        beta, _ = logistic(with_intercept(x), y)
+        assert abs(beta[0]) < 0.2
+        assert np.all(np.abs(expit(with_intercept(x) @ beta) - 0.5) < 0.2)
 
     def test_recovers_true_coefficients(self):
         rng = np.random.default_rng(11)
         n = 100_000
         x = rng.uniform(-1, 1, n)
         y = (rng.random(n) < expit(1.0 + 2.0 * x)).astype(float)
-        fit = fit_logistic(with_intercept(x), y)
-        assert np.allclose(fit.coefficients, [1.0, 2.0], atol=0.05)
-        assert fit.converged
+        beta, converged = logistic(with_intercept(x), y)
+        assert np.allclose(beta, [1.0, 2.0], atol=0.05)
+        assert converged
 
     def test_separation_guard(self):
         x = np.concatenate([np.linspace(-2, -1, 20), np.linspace(1, 2, 20)])
         y = (x > 0).astype(float)
-        fit = fit_logistic(with_intercept(x), y)
-        assert np.max(np.abs(fit.coefficients)) <= 30.0
-        assert not fit.converged
-        assert np.all(np.isfinite(fit.predict(with_intercept(x))))
+        beta, converged = logistic(with_intercept(x), y)
+        assert np.max(np.abs(beta)) <= 30.0
+        assert not converged
+        assert np.all(np.isfinite(expit(with_intercept(x) @ beta)))
 
     def test_coefficient_cap(self):
         # separated on a narrow range of x, the slope passes 30 within a few steps
         x = np.concatenate([np.linspace(-0.02, -0.01, 20), np.linspace(0.01, 0.02, 20)])
-        fit = fit_logistic(with_intercept(x), (x > 0).astype(float))
-        assert fit.coefficients[1] == 30.0
-        assert not fit.converged
-
-    def test_single_class_rejected(self):
-        with pytest.raises(DegenerateLabels):
-            fit_logistic(with_intercept(np.linspace(0, 1, 10)), np.zeros(10))
+        beta, converged = logistic(with_intercept(x), (x > 0).astype(float))
+        assert beta[1] == 30.0
+        assert not converged
 
 
 class TestMakeFolds:
@@ -272,15 +270,16 @@ class TestCrossfit:
 
 
 def _per_fold_reference(data, spec, fold_of):
-    """Nuisances fit fold by fold with fit_logistic/fit_ols on gathered
-    training rows, and the number of those fits that did not converge."""
+    """Nuisances fit fold by fold on gathered training rows, each as one
+    fit on every row it is given, and the number of those fits that did
+    not converge."""
     feats = with_intercept(data.covariate_matrix(spec.covariates))
 
     def col(role):
         return data.col(spec.column(role))
 
-    def learner(role):
-        return fit_logistic if spec.column(role) in data.binary else fit_ols
+    def binary(role):
+        return spec.column(role) in data.binary
 
     eta = {}
     nonconverged = 0
@@ -288,41 +287,42 @@ def _per_fold_reference(data, spec, fold_of):
         hold = fold_of == k
         train = ~hold
         values = {}
-        fits = []
 
-        def fit(learn, target, rows):
-            model = learn(feats[rows], target[rows])
-            fits.append(model)
-            return model.predict(feats[hold])
+        def fit(target, rows, logit):
+            nonlocal nonconverged
+            if not logit:
+                return feats[hold] @ ols(feats[rows], target[rows])
+            beta, converged = logistic(feats[rows], target[rows])
+            nonconverged += not converged
+            return expit(feats[hold] @ beta)
 
         if spec.kind == "mean_exchangeability":
             s, a = col("s"), col("a")
-            ps1 = fit(fit_logistic, s, train)
+            ps1 = fit(s, train, True)
             for sv in (0, 1):
                 in_s = train & (s == sv)
-                pa1 = fit(fit_logistic, a, in_s)
+                pa1 = fit(a, in_s, True)
                 ps = ps1 if sv == 1 else 1.0 - ps1
                 values[f"pi_s{sv}"] = ps * (pa1 if spec.arm == 1 else 1.0 - pa1)
-                values[f"mu_s{sv}"] = fit(learner("y"), col("y"), in_s & (a == spec.arm))
+                values[f"mu_s{sv}"] = fit(col("y"), in_s & (a == spec.arm), binary("y"))
         elif spec.kind == "iv_compatibility":
             for j in (1, 2):
                 z = col(f"z{j}")
-                values[f"pz{j}"] = fit(fit_logistic, z, train)
+                values[f"pz{j}"] = fit(z, train, True)
                 for zv in (0, 1):
                     for role in ("d", "y"):
                         key = f"mu_{role}{j}_{zv}"
-                        values[key] = fit(learner(role), col(role), train & (z == zv))
+                        values[key] = fit(col(role), train & (z == zv), binary(role))
         elif spec.kind == "parametric_spec":
-            values["h"] = fit(fit_ols, col("y"), train)
+            values["h"] = fit(col("y"), train, False)
             gram = feats[train].T @ feats[train] / np.sum(train)
             gram_inv = np.linalg.inv(gram + 1e-10 * np.eye(gram.shape[0]))
             values["leverage"] = np.einsum("ij,jk,ik->i", feats[hold], gram_inv, feats[hold])
         else:
-            values["mean_y"] = fit(learner("y"), col("y"), train)
-            values["mean_z"] = fit(learner("z"), col("z"), train)
+            values["mean_y"] = fit(col("y"), train, binary("y"))
+            values["mean_z"] = fit(col("z"), train, binary("z"))
         for key, value in values.items():
             eta.setdefault(key, np.empty(data.n))[hold] = value
-        nonconverged += sum(not model.converged for model in fits)
     return eta, nonconverged
 
 
@@ -525,6 +525,27 @@ class TestClipDiagnostics:
             smallest += [pz.min(), (1.0 - pz).min()]
         assert res.diagnostics["min_propensity"] == min(smallest)
         assert res.diagnostics["clipped_rows"] == np.sum(clipped) > 0
+
+    def test_propensity_at_the_clip_is_not_clipped(self):
+        cp = 0.1
+        below, above = np.nextafter(cp, 0.0), np.nextafter(1.0 - cp, 1.0)
+        p = np.array([cp, 1.0 - cp, below, above, 0.5])
+        spec = ScoreSpec(clip_propensity=cp)
+        diag = clip_diagnostics({"pi_s1": p, "pi_s0": np.full(5, 0.5)}, spec)
+        assert diag == {"min_propensity": below, "clipped_rows": 2}
+        # the rows the score itself clips
+        assert np.sum(scores._clip_prob(p, cp) != p) == 2
+
+    def test_denominator_at_the_floor_is_not_floored(self):
+        floor = 0.05
+        inside = np.nextafter(floor, 0.0)
+        d = np.array([0.0, -0.0, floor, -floor, inside, -inside, 1.0])
+        half, zero = np.full(7, 0.5), np.zeros(7)
+        bundle = {"pz1": half, "pz2": half, "mu_d1_1": d, "mu_d1_0": zero,
+                  "mu_d2_1": np.ones(7), "mu_d2_0": zero}
+        spec = ScoreSpec(kind="iv_compatibility", clip_denominator=floor)
+        assert clip_diagnostics(bundle, spec) == {"min_propensity": 0.5, "clipped_rows": 4}
+        assert np.array_equal(scores._clip_signed(d, floor) != d, np.abs(d) < floor)
 
     def test_other_scores_report_none(self):
         data = _condcov_null_dataset(300, 38)

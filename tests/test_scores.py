@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from gptest.basis import legendre_orthonormal
 from gptest.dgp import (
     Dataset,
     PanelAConfig,
@@ -22,6 +21,7 @@ from gptest.scores import (
     g_parametric_spec,
     orthogonality_diagnostic,
 )
+from mc_reference import basis_reference
 
 
 def logit(p):
@@ -102,7 +102,7 @@ class TestMeanExchangeability:
         spec = ScoreSpec(kind="mean_exchangeability", arm=0)
         g = g_mean_exchangeability(data, nb, spec)
         for j in range(10):
-            b = legendre_orthonormal(j % 5, x[:, j // 5])
+            b = basis_reference("legendre", j % 5, x[:, j // 5])
             gb = g * b
             assert abs(gb.mean()) < 4.0 * gb.std() / np.sqrt(len(gb)), j
 
@@ -231,7 +231,7 @@ class TestParametricSpec:
         spec = ScoreSpec(kind="parametric_spec", covariates=("X1",))
         g = g_parametric_spec(data, self._bundle(x, y), spec)
         for j in range(1, 4):
-            gb = g * legendre_orthonormal(j, x)
+            gb = g * basis_reference("legendre", j, x)
             assert abs(gb.mean()) < 3.0 * gb.std() / np.sqrt(n)
 
     def test_quadratic_misspecification_detected(self):
@@ -242,7 +242,7 @@ class TestParametricSpec:
         data = Dataset(columns={"X1": x, "Y": y})
         spec = ScoreSpec(kind="parametric_spec", covariates=("X1",))
         g = g_parametric_spec(data, self._bundle(x, y), spec)
-        gb = g * legendre_orthonormal(2, x)
+        gb = g * basis_reference("legendre", 2, x)
         assert abs(gb.mean()) > 5.0 * gb.std() / np.sqrt(n)
 
 
@@ -364,7 +364,7 @@ class TestOrthogonalityDiagnostic:
         spec = ScoreSpec(kind="mean_exchangeability", arm=0)
         d = orthogonality_diagnostic(
             data, spec, truth, me_perturbation(truth), self.T_GRID,
-            weight=legendre_orthonormal(1, x[:, 0]),
+            weight=basis_reference("legendre", 1, x[:, 0]),
         )
         deriv = (d[3] - d[1]) / 0.2
         assert abs(deriv) < 0.01
