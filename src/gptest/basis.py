@@ -98,19 +98,21 @@ def _fourier(j: int, x: np.ndarray) -> np.ndarray:
     return np.sqrt(2.0) * np.sin(k * np.pi * x)
 
 
-def _axis_design(family: str, z: np.ndarray, j_star: int) -> np.ndarray:
-    """n x J* array of b_0(z), ..., b_{J*-1}(z) for z in [-1, 1].
+def _axis_design(family: str, z: np.ndarray, j_star: int, out=None, first: int = 0):
+    """b_first(z), ..., b_{J*-1}(z) for z in [-1, 1], written into the
+    columns of ``out`` (n x (J* - first), new if not given).
 
     Legendre columns share one recurrence pass; Fourier columns are one
     cos or sin call each.
     """
-    out = np.empty((z.shape[0], j_star))
+    if out is None:
+        out = np.empty((z.shape[0], j_star - first))
     if family == LEGENDRE:
-        for j, p in enumerate(_legendre(z, j_star - 1)):
-            np.multiply(np.sqrt(2.0 * j + 1.0), p, out=out[:, j])
+        for j, p in enumerate(_legendre(z, j_star - 1)[first:], start=first):
+            np.multiply(np.sqrt(2.0 * j + 1.0), p, out=out[:, j - first])
     else:
-        for j in range(j_star):
-            out[:, j] = _fourier(j, z)
+        for j in range(first, j_star):
+            out[:, j - first] = _fourier(j, z)
     return out
 
 
@@ -120,7 +122,7 @@ def _rescale(x: np.ndarray, lo: float, hi: float, axis_idx: int) -> np.ndarray:
     if np.any(bad):
         row = int(np.argmax(bad))
         raise OutOfRange(
-            f"covariate {axis_idx} out of range at row {row + 1}: value {x[row]!r}"
+            f"covariate {axis_idx} out of range at row {row + 1}: value {float(x[row])}"
         )
     return np.clip(z, -1.0, 1.0)
 
@@ -142,10 +144,15 @@ def build_design(x_matrix, spec: BasisSpec) -> DesignMatrix:
             f"covariate matrix is {n}x{d}, spec declares {spec.dim} covariates"
         )
     z = [_rescale(x_matrix[:, k], lo, hi, k) for k, (lo, hi) in enumerate(spec.ranges)]
-    axes = [_axis_design(spec.family, z_k, spec.j_star) for z_k in z]
     if spec.combination == ADDITIVE:
-        values = np.hstack([axes[0][:, :1]] + [axis[:, 1:] for axis in axes])
+        values = np.empty((n, spec.n_columns))
+        values[:, 0] = 1.0
+        block = spec.j_star - 1  # each covariate's columns of degree 1 .. J*-1
+        for k, z_k in enumerate(z):
+            out = values[:, 1 + k * block : 1 + (k + 1) * block]
+            _axis_design(spec.family, z_k, spec.j_star, out=out, first=1)
     else:
+        axes = [_axis_design(spec.family, z_k, spec.j_star) for z_k in z]
         values = axes[0]
         for axis in axes[1:]:  # the last covariate's degree varies fastest
             values = (values[:, :, None] * axis[:, None, :]).reshape(n, -1)

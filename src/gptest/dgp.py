@@ -55,7 +55,7 @@ class Dataset:
             if np.any(bad):
                 row = int(np.argmax(bad))
                 raise SchemaError(
-                    f"binary column {name!r} has value {vals[row]!r} at row {row + 1}"
+                    f"binary column {name!r} has value {float(vals[row])} at row {row + 1}"
                 )
 
     @property
@@ -217,9 +217,10 @@ def gen_panel_b(cfg: PanelBConfig) -> Dataset:
     z1 = (rng.uniform(n) < expit(0.5 + 0.5 * x1 + 0.5 * x2)).astype(float)
     z2 = (rng.uniform(n) < expit(0.5 + 0.5 * x1 - 0.5 * x2)).astype(float)
     u = -0.3 + _u_sd(cfg) * rng.normal(n)
-    probs = _stratum_probs(x1, x2)
-    draws = rng.uniform(n)
-    stratum = (draws[:, None] >= np.cumsum(probs, axis=1)).sum(axis=1)
+    # each row's cumulative stratum probabilities, by its (X1 > 0, X2 > 0) cell
+    table = np.cumsum(_stratum_probs(np.array([0.0, 0, 1, 1]), np.array([0.0, 1, 0, 1])), axis=1)
+    cumulative = np.take(table, 2 * (x1 > 0) + (x2 > 0), axis=0)
+    stratum = (rng.uniform(n)[:, None] >= cumulative).sum(axis=1)
     d = _treatment_from_stratum(z1, z2, stratum)
     eps = rng.normal(n)
     y0 = 1.0 + x1 + x2 + u + eps

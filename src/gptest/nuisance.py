@@ -7,10 +7,13 @@ score needs without the held-out fold and writes its predictions on that
 fold into a per-row array, so each nuisance becomes one array of
 out-of-fold values; the score is then evaluated once on the full sample.
 
-The K fold fits of one nuisance model are solved together: the model's
-stratum rows are gathered once, fold k weights them by
-``fold_of[i] != k``, and the K weighted normal equations (or Newton
-steps) are solved as one stack.
+The K fold fits of one nuisance model are solved together: fold k
+weights the model's stratum rows by ``fold_of[i] != k``, and the K
+weighted normal equations (or Newton steps) are solved as one stack.
+Each stratum is set up once for every model fit on it: its rows of the
+design are gathered, and its fold weights, Gram product columns and
+base Gram stack are computed.  Least squares solves with that Gram, and
+the first IRLS step with a quarter of it.
 """
 
 from __future__ import annotations
@@ -69,32 +72,42 @@ def _solve_normal(gram: np.ndarray, moment: np.ndarray) -> np.ndarray:
         return np.array([_solve_one(g, m) for g, m in zip(gram, moment)])
 
 
-def _gram_columns(features: np.ndarray):
-    """Products f_a * f_b of the design's columns for a <= b, one column
-    each, and for every entry (a, b) of a p x p matrix the column holding
-    its product."""
-    p = features.shape[1]
+def _pair_index(p: int):
+    """For the products f_a * f_b of a p-column design's columns, a <= b,
+    one column each: the a and the b of every product, and for every
+    entry (a, b) of a p x p matrix the column holding its product."""
     pairs = [(a, b) for a in range(p) for b in range(a, p)]
     column = {pair: j for j, pair in enumerate(pairs)}
     entry = np.array([[column[min(a, b), max(a, b)] for b in range(p)] for a in range(p)])
-    rows, cols = (list(side) for side in zip(*pairs))
-    columns = features[:, rows]
-    columns *= features[:, cols]
-    return columns, entry
+    left, right = (list(side) for side in zip(*pairs))
+    return left, right, entry
 
 
 def _grams(weights: np.ndarray, columns: np.ndarray, entry) -> np.ndarray:
-    """The (K, p, p) stack sum_i weights[k, i] f_i f_i' from ``_gram_columns``."""
+    """The (K, p, p) stack sum_i weights[k, i] f_i f_i' from the product columns."""
     return (weights @ columns)[:, entry]
 
 
-def _lstsq(features: np.ndarray, y: np.ndarray, weights: np.ndarray) -> np.ndarray:
+class _Setup:
+    """What the K fold fits of every model on one set of rows share: the
+    rows' design, their (K, m) fold weights W, the design's product
+    columns C and Gram entry index (``_pair_index``, built if not given)
+    and the base Gram stack W·C."""
+
+    def __init__(self, features: np.ndarray, weights: np.ndarray, pair_index=None):
+        left, right, self.entry = pair_index or _pair_index(features.shape[1])
+        self.features, self.weights = features, weights
+        self.columns = features[:, left]
+        self.columns *= features[:, right]
+        self.gram = _grams(weights, self.columns, self.entry)
+
+
+def _lstsq(fit: _Setup, y: np.ndarray) -> np.ndarray:
     """Least squares coefficients (K, p), fit k on the rows where weights[k] is 1."""
-    gram = _grams(weights, *_gram_columns(features))
-    return _solve_normal(gram, (weights * y) @ features)
+    return _solve_normal(fit.gram, (fit.weights * y) @ fit.features)
 
 
-def _irls(features: np.ndarray, y: np.ndarray, weights: np.ndarray):
+def _irls(fit: _Setup, y: np.ndarray):
     """Logistic coefficients (K, p) and converged flags (K,), fit k on the
     rows where weights[k] is 1.
 
@@ -104,8 +117,8 @@ def _irls(features: np.ndarray, y: np.ndarray, weights: np.ndarray):
     either way it is frozen while the others go on.  A fit still running
     after 100 steps is unconverged.
     """
+    features, weights, columns, entry = fit.features, fit.weights, fit.columns, fit.entry
     K, m = weights.shape
-    columns, entry = _gram_columns(features)
     beta = np.zeros((K, features.shape[1]))
     converged = np.zeros(K, dtype=bool)
     running = np.arange(K)
@@ -115,7 +128,7 @@ def _irls(features: np.ndarray, y: np.ndarray, weights: np.ndarray):
         if step_no == 0:
             # at beta = 0 every probability is exactly 1/2 and every weight
             # exactly 1/4, so this is the step below without its passes
-            gram = 0.25 * _grams(weights, columns, entry)
+            gram = 0.25 * fit.gram
             grad = (weights * (y - 0.5)) @ features
         else:
             # prob = expit(eta) in place, in the 1 / (1 + exp(-eta)) form of dgp.expit
@@ -139,14 +152,16 @@ def _irls(features: np.ndarray, y: np.ndarray, weights: np.ndarray):
             step = _solve_normal(gram[running], grad[running])
             beta[running] += step
             capped = np.abs(beta[running]).max(axis=1) > _LOGIT_COEF_CAP
-        if capped.any():
-            # only the capped fits can lie outside the cap
-            np.clip(beta, -_LOGIT_COEF_CAP, _LOGIT_COEF_CAP, out=beta)
         small = np.abs(step).max(axis=1) < _LOGIT_TOL
-        converged[running[small & ~capped]] = True
-        running = running[~(small | capped)]
-        if running.size == 0:
-            break
+        stop = small | capped
+        if stop.any():
+            if capped.any():
+                # only the capped fits can lie outside the cap
+                np.clip(beta, -_LOGIT_COEF_CAP, _LOGIT_COEF_CAP, out=beta)
+            converged[running[small & ~capped]] = True
+            running = running[~stop]
+            if running.size == 0:
+                break
     return beta, converged
 
 
@@ -189,12 +204,13 @@ class _Folds:
         self.everyone = np.ones(n, dtype=bool)
         # where row i's own-fold value sits in a flattened (K, n) array
         self.own_fold = fold_of * n + np.arange(n)
+        self.pair_index = _pair_index(features.shape[1])
         self.nonconverged = 0
 
     def training(self, stratum: np.ndarray, label: str):
         """The stratum's rows (an index array, or a full slice for
-        ``everyone``), its rows of the design and their (K, m) training
-        weights W[k, i] = fold_of[i] != k."""
+        ``everyone``) and the set-up of its fits, whose fold weights are
+        W[k, i] = fold_of[i] != k."""
         if stratum is self.everyone:
             rows, features, fold_of = slice(None), self.features, self.fold_of
         else:
@@ -207,28 +223,30 @@ class _Folds:
             raise InsufficientStratum(
                 f"training data for fold {short[0]} has too few rows in stratum {label}"
             )
-        return rows, features, (fold_of != np.arange(self.K)[:, None]).astype(float)
+        weights = (fold_of != np.arange(self.K)[:, None]).astype(float)
+        return rows, _Setup(features, weights, self.pair_index)
 
-    def predict(self, target: np.ndarray, stratum: np.ndarray, link: str, label: str):
-        """Out-of-fold predictions of ``target`` at every row: row i gets the
-        fit of fold ``fold_of[i]``, trained on the stratum's rows outside it.
-
-        ``link`` 'logit' fits by IRLS, 'identity' by least squares.
-        """
-        rows, features, weights = self.training(stratum, label)
-        y = target[rows]
+    def out_of_fold(self, fit: _Setup, y: np.ndarray, link: str, label: str):
+        """Row i's prediction from fold ``fold_of[i]``'s fit to the stratum's
+        labels ``y``: by IRLS for link 'logit', else by least squares."""
         if link == "logit":
-            single = _single_class_folds(y, weights)
+            single = _single_class_folds(y, fit.weights)
             if single.size:
                 raise InsufficientStratum(
                     f"training data for fold {single[0]} is single-class in stratum {label}"
                 )
-            beta, converged = _irls(features, y, weights)
+            beta, converged = _irls(fit, y)
             self.nonconverged += int(np.sum(~converged))
         else:
-            beta = _lstsq(features, y, weights)
+            beta = _lstsq(fit, y)
         eta = np.take(beta @ self.features.T, self.own_fold)
         return expit(eta) if link == "logit" else eta
+
+    def predict(self, stratum: np.ndarray, *targets):
+        """Out-of-fold predictions of each (target, link, label) from one
+        set-up of the stratum; a failure names the target's label."""
+        rows, fit = self.training(stratum, targets[0][2])
+        return [self.out_of_fold(fit, t[rows], link, label) for t, link, label in targets]
 
 
 def _target(data: Dataset, spec: sc.ScoreSpec, role: str):
@@ -244,38 +262,37 @@ def _fit_me(data: Dataset, spec: sc.ScoreSpec, folds: _Folds):
     y, y_link = _target(data, spec, "y")
     a = data.col(spec.column("a"))
     s = data.col(spec.column("s"))
-    ps1 = folds.predict(s, folds.everyone, "logit", "S")
+    (ps1,) = folds.predict(folds.everyone, (s, "logit", "S"))
     values = {}
     for sv in (0, 1):
         in_s = s == sv
-        pa1 = folds.predict(a, in_s, "logit", f"S={sv}")
+        (pa1,) = folds.predict(in_s, (a, "logit", f"S={sv}"))
         ps = ps1 if sv == 1 else 1.0 - ps1
         values[f"pi_s{sv}"] = ps * (pa1 if spec.arm == 1 else 1.0 - pa1)
         cell = in_s & (a == spec.arm)
-        values[f"mu_s{sv}"] = folds.predict(y, cell, y_link, f"(A={spec.arm},S={sv})")
+        (values[f"mu_s{sv}"],) = folds.predict(cell, (y, y_link, f"(A={spec.arm},S={sv})"))
     return values
 
 
 def _fit_iv(data: Dataset, spec: sc.ScoreSpec, folds: _Folds):
-    values = {}
+    z = {j: data.col(spec.column(f"z{j}")) for j in (1, 2)}
+    pz1, pz2 = folds.predict(folds.everyone, (z[1], "logit", "Z1"), (z[2], "logit", "Z2"))
+    values = {"pz1": pz1, "pz2": pz2}
+    d, y = _target(data, spec, "d"), _target(data, spec, "y")
     for j in (1, 2):
-        z = data.col(spec.column(f"z{j}"))
-        values[f"pz{j}"] = folds.predict(z, folds.everyone, "logit", f"Z{j}")
         for zv in (0, 1):
-            arm = z == zv
-            for role in ("d", "y"):
-                target, link = _target(data, spec, role)
-                values[f"mu_{role}{j}_{zv}"] = folds.predict(target, arm, link, f"Z{j}={zv}")
+            label = f"Z{j}={zv}"
+            mu = folds.predict(z[j] == zv, (*d, label), (*y, label))
+            values[f"mu_d{j}_{zv}"], values[f"mu_y{j}_{zv}"] = mu
     return values
 
 
 def _fit_parametric(data: Dataset, spec: sc.ScoreSpec, folds: _Folds):
     """The fitted mean ``h`` and each row's leverage under its own fold's Gram matrix."""
-    everyone = folds.everyone
-    h = folds.predict(data.col(spec.column("y")), everyone, "identity", "Y")
-    _, features, weights = folds.training(everyone, "Y")
-    p = features.shape[1]
-    gram = _grams(weights, *_gram_columns(features)) / weights.sum(axis=1)[:, None, None]
+    _, fit = folds.training(folds.everyone, "Y")
+    h = folds.out_of_fold(fit, data.col(spec.column("y")), "identity", "Y")
+    p = fit.features.shape[1]
+    gram = fit.gram / fit.weights.sum(axis=1)[:, None, None]
     gram_inv = np.linalg.inv(gram + RIDGE_JITTER * np.eye(p))
     feats = folds.features
     leverage = np.einsum("ij,ijk,ik->i", feats, gram_inv[folds.fold_of], feats)
@@ -283,11 +300,9 @@ def _fit_parametric(data: Dataset, spec: sc.ScoreSpec, folds: _Folds):
 
 
 def _fit_condcov(data: Dataset, spec: sc.ScoreSpec, folds: _Folds):
-    values = {}
-    for key, role in (("mean_y", "y"), ("mean_z", "z")):
-        target, link = _target(data, spec, role)
-        values[key] = folds.predict(target, folds.everyone, link, role)
-    return values
+    y, z = _target(data, spec, "y"), _target(data, spec, "z")
+    mean_y, mean_z = folds.predict(folds.everyone, (*y, "y"), (*z, "z"))
+    return {"mean_y": mean_y, "mean_z": mean_z}
 
 
 _FITTERS = {

@@ -7,6 +7,8 @@ chi-square variates, so the sampler lives here.  ``irls_reference`` is
 the batched logistic Newton loop in its plain form, every step computed
 from the current coefficients.  ``basis_reference`` evaluates one basis
 function without the recurrence and the helpers of ``gptest.basis``.
+``panel_b_reference`` draws a Panel B sample with a softmax of the
+stratum weights on every row, without the helpers of ``gptest.dgp``.
 """
 
 import warnings
@@ -95,3 +97,39 @@ def basis_reference(family: str, j: int, z):
         return np.ones_like(z)
     k = (j + 1) // 2
     return np.sqrt(2.0) * (np.cos if j % 2 == 1 else np.sin)(k * np.pi * z)
+
+
+def panel_b_reference(n: int, beta1: float, beta2: float, seed: int, u_sd: float):
+    """Panel B columns (X1, X2, Z1, Z2, D, Y) drawn from ``RngStream(seed)``
+    in the generator's order; each row's stratum is the number of its n x 5
+    cumulative softmax probabilities at or below its uniform draw."""
+
+    def expit(v):
+        return 1.0 / (1.0 + np.exp(-v))
+
+    rng = RngStream(seed)
+    x1 = 2.0 * rng.uniform(n) - 1.0
+    x2 = 2.0 * rng.uniform(n) - 1.0
+    z1 = (rng.uniform(n) < expit(0.5 + 0.5 * x1 + 0.5 * x2)).astype(float)
+    z2 = (rng.uniform(n) < expit(0.5 + 0.5 * x1 - 0.5 * x2)).astype(float)
+    u = -0.3 + u_sd * rng.normal(n)
+    xs1, xs2 = (x1 > 0).astype(float), (x2 > 0).astype(float)
+    sco, co = 3.5 + 0.5 * xs1 + xs2, 2.0 + xs1 + xs2
+    logw = np.column_stack([1.0 - xs2, sco, sco, co, co])  # ANT, SCO1, SCO2, RCO, ECO
+    w = np.exp(logw - logw.max(axis=1, keepdims=True))
+    probs = w / w.sum(axis=1, keepdims=True)
+    stratum = (rng.uniform(n)[:, None] >= np.cumsum(probs, axis=1)).sum(axis=1)
+    d = np.select(
+        [stratum == 1, stratum == 2, stratum == 3, stratum == 4],
+        [z1, z2, z1 * z2, np.maximum(z1, z2)],
+        0.0,
+    )
+    y0 = 1.0 + x1 + x2 + u + rng.normal(n)
+    sco2 = -2.0 * x1
+    if beta1:
+        sco2 = sco2 + beta1 * (np.cos(np.pi * x1) + np.cos(np.pi * x2))
+    if beta2:
+        sco2 = sco2 + beta2 * (x1 + x2)
+    effect = np.select([stratum == 0, stratum == 2], [0.0, sco2], -2.0 * x1)
+    y = d * (y0 + effect) + (1.0 - d) * y0
+    return {"X1": x1, "X2": x2, "Z1": z1, "Z2": z2, "D": d, "Y": y}

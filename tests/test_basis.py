@@ -122,7 +122,7 @@ class TestBuildDesign:
         spec = BasisSpec(j_star=3)
         x = np.zeros((3, 2))
         x[2, 1] = 1.5
-        with pytest.raises(OutOfRange, match="covariate 1 out of range at row 3: value"):
+        with pytest.raises(OutOfRange, match=r"^covariate 1 out of range at row 3: value 1\.5$"):
             build_design(x, spec)
 
     def test_deterministic(self):

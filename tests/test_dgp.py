@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -20,6 +21,7 @@ from gptest.dgp import (
 )
 from gptest.errors import SchemaError
 from gptest.numerics import RngStream
+from mc_reference import panel_b_reference
 
 
 class TestDataset:
@@ -30,7 +32,8 @@ class TestDataset:
     @pytest.mark.parametrize("bad", [2.0, 0.5])
     def test_binary_violation_located(self, bad):
         a = np.array([1.0, 0.0, bad, 0.0])
-        with pytest.raises(SchemaError, match=rf"binary column 'A' has value .*{bad}.* at row 3$"):
+        pattern = rf"^binary column 'A' has value {re.escape(str(bad))} at row 3$"
+        with pytest.raises(SchemaError, match=pattern):
             Dataset(columns={"S": np.zeros(4), "A": a}, binary=("S", "A"))
 
     def test_length_mismatch(self):
@@ -247,6 +250,38 @@ class TestPanelB:
         assert len(bundle) == 10 and set(bundle) == set(expected)
         for key, values in expected.items():
             np.testing.assert_allclose(bundle[key], values, rtol=0.0, atol=1e-12, err_msg=key)
+
+    @pytest.mark.parametrize(
+        "seed, beta, u_param",
+        [
+            (0, (0.0, 0.0), "var"),
+            (1, (0.0, 0.0), "sd"),
+            (2, (0.5, 0.0), "var"),
+            (3, (0.0, 0.5), "sd"),
+            (4, (0.5, 0.5), "var"),
+            (5, (0.5, -0.3), "sd"),
+            (6, (-1.0, 2.0), "var"),
+            (7, (1.0, 1.0), "sd"),
+        ],
+    )
+    def test_generator_matches_per_row_softmax_draw(self, seed, beta, u_param):
+        """The stratum table lookup draws the same sample as a per-row softmax."""
+        cfg = PanelBConfig(n=3000, beta1=beta[0], beta2=beta[1], seed=seed, u_param=u_param)
+        u_sd = np.sqrt(0.3) if u_param == "var" else 0.3
+        expected = panel_b_reference(cfg.n, *beta, seed, u_sd)
+        data = gen_panel_b(cfg)
+        assert list(data.columns) == list(expected)
+        for name, column in expected.items():
+            assert data.col(name).tobytes() == column.tobytes(), name
+
+    def test_stratum_probs_per_row(self):
+        x1, x2 = np.random.default_rng(14).uniform(-1, 1, size=(2, 500))
+        probs = _stratum_probs(x1, x2)
+        assert probs.shape == (500, 5)
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
+        for cell in range(4):
+            rows = 2 * (x1 > 0) + (x2 > 0) == cell
+            assert rows.any() and np.all(probs[rows] == probs[rows][0])
 
     def test_u_param_switch_changes_spread(self):
         a = gen_panel_b(PanelBConfig(n=50_000, seed=11, u_param="var"))

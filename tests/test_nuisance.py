@@ -22,13 +22,13 @@ from mc_reference import irls_reference
 
 def ols(features, y):
     """Least squares coefficients from the cross-fit solver, as one fit on every row."""
-    return nuisance._lstsq(features, y, np.ones((1, len(y))))[0]
+    return nuisance._lstsq(nuisance._Setup(features, np.ones((1, len(y)))), y)[0]
 
 
 def logistic(features, y):
     """Logistic coefficients and converged flag from the cross-fit solver,
     as one fit on every row."""
-    beta, converged = nuisance._irls(features, y, np.ones((1, len(y))))
+    beta, converged = nuisance._irls(nuisance._Setup(features, np.ones((1, len(y)))), y)
     return beta[0], bool(converged[0])
 
 
@@ -426,7 +426,7 @@ class TestNewtonLoopMatchesReference:
     @pytest.mark.parametrize("case", sorted(_NEWTON_CASES))
     def test_coefficients_and_flags_exact(self, case):
         features, y, weights = _NEWTON_CASES[case]()
-        beta, converged = nuisance._irls(features, y, weights)
+        beta, converged = nuisance._irls(nuisance._Setup(features, weights), y)
         ref_beta, ref_converged = irls_reference(features, y, weights)
         assert beta.tobytes() == ref_beta.tobytes()
         assert np.array_equal(converged, ref_converged)
@@ -438,6 +438,44 @@ class TestNewtonLoopMatchesReference:
             assert converged.tolist() == [False, True, True, True]
         else:
             assert converged.all()
+
+
+def _multi_target_cases():
+    """Per case: the data, the stratum (None for every row), the targets
+    that share it, and the fold fits expected not to converge."""
+    b = gen_panel_b(PanelBConfig(n=1500, seed=36))
+    sep, one = _separated_condcov_dataset(), _one_fold_separated_dataset()
+    return {
+        "panel_b_every_row": (
+            b, None, [(b.col("Z1"), "logit", "Z1"), (b.col("Z2"), "logit", "Z2")], 0),
+        "panel_b_arm": (
+            b, b.col("Z1") == 0.0,
+            [(b.col("D"), "logit", "Z1=0"), (b.col("Y"), "identity", "Z1=0")], 0),
+        "separated": (sep, None, [(sep.col("Y"), "logit", "y"), (sep.col("Z"), "identity", "z")], 4),
+        "one_fold_separated": (
+            one, None, [(one.col("Z"), "identity", "z"), (one.col("Y"), "logit", "y")], 1),
+    }
+
+
+class TestMultiTargetCall:
+    """One set-up of a stratum serves all its targets exactly as one call per target."""
+
+    @pytest.mark.parametrize(
+        "case", ["panel_b_every_row", "panel_b_arm", "separated", "one_fold_separated"]
+    )
+    def test_same_bytes_and_nonconverged_fits(self, case):
+        data, stratum, targets, nonconverged = _multi_target_cases()[case]
+        features = with_intercept(data.covariate_matrix(("X1", "X2")))
+        fold_of = make_folds(data.n, 4, RngStream(7))
+        together = nuisance._Folds(features, fold_of, 4)
+        alone = nuisance._Folds(features, fold_of, 4)
+        def rows(folds):
+            return folds.everyone if stratum is None else stratum
+
+        joint = together.predict(rows(together), *targets)
+        apart = [alone.predict(rows(alone), target)[0] for target in targets]
+        assert [v.tobytes() for v in joint] == [v.tobytes() for v in apart]
+        assert together.nonconverged == alone.nonconverged == nonconverged
 
 
 def _with_columns(data, **changes):
@@ -461,6 +499,28 @@ class TestBatchedFailurePaths:
         broken = _with_columns(data, Z1=np.ones(600))
         with pytest.raises(InsufficientStratum, match=r"fold 0 is single-class in stratum Z1$"):
             crossfit(broken, ScoreSpec(kind="iv_compatibility"), K=5, rng=RngStream(5))
+
+    def test_single_class_second_target_named(self):
+        # Z1 and Z2 share one set-up of every row; the failing fit is Z2's
+        data = gen_panel_b(PanelBConfig(n=600, seed=32))
+        broken = _with_columns(data, Z2=np.ones(600))
+        with pytest.raises(InsufficientStratum, match=r"fold 0 is single-class in stratum Z2$"):
+            crossfit(broken, ScoreSpec(kind="iv_compatibility"), K=5, rng=RngStream(5))
+
+    def test_every_row_stratum_checked_before_the_arms(self):
+        # Z1 = 0 on four rows in folds 1-4, so fold 1 trains the Z1=0 arm on
+        # 3 rows, and Z2 is single-class; both instruments' propensities are
+        # fit before any arm, so the Z2 failure is the one reported
+        data = gen_panel_b(PanelBConfig(n=600, seed=32))
+        fold_of = make_folds(600, 5, RngStream(5))
+        z1 = np.ones(600)
+        z1[[int(np.flatnonzero(fold_of == k)[0]) for k in (1, 2, 3, 4)]] = 0.0
+        broken = _with_columns(data, Z1=z1, Z2=np.ones(600))
+        with pytest.raises(InsufficientStratum, match=r"fold 0 is single-class in stratum Z2$"):
+            crossfit(broken, ScoreSpec(kind="iv_compatibility"), K=5, rng=RngStream(5))
+        only_z1 = _with_columns(data, Z1=z1)
+        with pytest.raises(InsufficientStratum, match=r"fold 1 has too few rows in stratum Z1=0$"):
+            crossfit(only_z1, ScoreSpec(kind="iv_compatibility"), K=5, rng=RngStream(5))
 
     @pytest.mark.parametrize("which", ["fold_of_row_0", "other_fold"])
     def test_single_class_in_one_fold(self, which):
