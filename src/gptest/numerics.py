@@ -2,18 +2,18 @@
 
 Everything here is deterministic given its inputs (and, for random
 streams, the seed).  Dense symmetric problems in this package are small
-(J up to a few dozen), so the numpy/scipy routines are used directly
-behind the contracts below.
+(J up to a few dozen), so numpy's routines are used directly behind the
+contracts below, and the two closed-form tails use Python's ``math``.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaincc, ndtr
 
 from .errors import InvalidInput, NotPSD
 
@@ -104,10 +104,9 @@ class RngStream:
         return RngStream(mixed)
 
 
-def normal_cdf(x):
+def normal_cdf(x: float) -> float:
     """Standard normal CDF; keeps full relative accuracy deep in the lower tail."""
-    out = ndtr(np.asarray(x, dtype=float))
-    return float(out) if out.ndim == 0 else out
+    return 0.5 * math.erfc(-x * math.sqrt(0.5))
 
 
 # Gauss-Legendre rule of chisq_mixture_sf, mapped to [0, 1].  Built once at
@@ -216,7 +215,22 @@ def chisq_mixture_sf(weights, x: float) -> float:
 
 
 def chi2_sf(x: float, df: int) -> float:
-    """Upper tail of chi-square(df) via the regularized incomplete gamma."""
+    """Upper tail of chi-square(df) for a positive integer df.
+
+    With h = x/2 this is the regularized gamma tail Q(df/2, h), summed as
+    the finite series Q(a + 1, h) = Q(a, h) + h^a e^-h / Gamma(a + 1)
+    (Abramowitz and Stegun 1964, 26.4) from Q(1/2, h) = erfc(sqrt h) for
+    odd df or Q(1, h) = e^-h for even df.  Each term is formed in logs, so
+    none overflows or underflows before its true value would.
+    """
+    if not (df >= 1 and float(df).is_integer()):
+        raise InvalidInput(f"chi-square df must be a positive integer, got {df}")
     if x <= 0:
         return 1.0
-    return float(gammaincc(df / 2.0, x / 2.0))
+    if x == math.inf:
+        return 0.0
+    h, odd = x / 2.0, df % 2
+    terms = [math.erfc(math.sqrt(h)) if odd else math.exp(-h)]
+    terms += [math.exp(a * math.log(h) - h - math.lgamma(a + 1.0))
+              for a in np.arange(1.0 - 0.5 * odd, df / 2.0)]
+    return math.fsum(terms)

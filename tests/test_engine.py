@@ -6,7 +6,14 @@ import pytest
 from gptest import engine
 
 from gptest.basis import BasisSpec, DesignMatrix, build_design, restrict
-from gptest.dgp import PanelAConfig, gen_panel_a, oracle_nuisances_panel_a
+from gptest.dgp import (
+    PanelAConfig,
+    PanelBConfig,
+    gen_panel_a,
+    gen_panel_b,
+    oracle_nuisances_panel_a,
+    oracle_nuisances_panel_b,
+)
 from gptest.engine import (
     GP_STANDARDIZED,
     GP_UNSTANDARDIZED,
@@ -23,7 +30,8 @@ from gptest.engine import (
 from gptest.engine import TestConfig as EngineConfig
 from gptest.errors import DegenerateScale, InvalidInput, NotPSD
 from gptest.nuisance import crossfit
-from gptest.numerics import RngStream, chi2_sf, chisq_mixture_sf, normal_cdf
+from gptest.numerics import RngStream, chi2_sf, chisq_mixture_sf, normal_cdf, sym_eigen
+from gptest.scores import IV_COMPATIBILITY, MEAN_EXCHANGEABILITY, ScoreSpec, evaluate_score
 from mc_reference import weighted_chisq_pvalue
 
 UNIT_SPEC = BasisSpec(j_star=3)
@@ -192,6 +200,41 @@ class TestStandardizedVariant:
         design = design_from(np.ones((10, 2)))
         with pytest.raises(DegenerateScale):
             gp_test_standardized(design, np.zeros(10), EngineConfig())
+
+
+class TestStandardizedLimitingSize:
+    """The standardized rule's exact size at the population Sigma.
+
+    T > z_{0.95} is S > rho + z_{0.95} sqrt(2) gamma, and in the limit S is
+    the weighted chi-square mixture over the eigenvalues of Sigma, so the
+    rule's limiting size is that mixture's tail at the threshold.  Sigma is
+    Sigma-hat of a 400,000-row null sample with oracle nuisances.  The
+    normal approximation ignores the mixture's skew, so the size exceeds
+    the nominal 0.05 by 0.016-0.020 at J* = 3, 5, 7 (additive Legendre).
+    """
+
+    @pytest.mark.parametrize(
+        "panel, expected",
+        [("A", (0.0687, 0.0672, 0.0661)), ("B", (0.0697, 0.0673, 0.0656))],
+    )
+    def test_size_at_population_sigma(self, panel, expected):
+        if panel == "A":
+            cfg = PanelAConfig(n=400_000, seed=2026)
+            data, kind, oracle = gen_panel_a(cfg), MEAN_EXCHANGEABILITY, oracle_nuisances_panel_a(cfg)
+        else:
+            cfg = PanelBConfig(n=400_000, seed=2026)
+            data, kind, oracle = gen_panel_b(cfg), IV_COMPATIBILITY, oracle_nuisances_panel_b(cfg)
+        score = ScoreSpec(kind=kind, nuisance_mode="oracle", oracle=oracle)
+        x = data.covariate_matrix(score.covariates)
+        g = evaluate_score(data, oracle(x), score)
+        z95 = 1.6448536269514722
+        for j_star, size in zip((3, 5, 7), expected):
+            spec = BasisSpec(j_star=j_star, ranges=((-1.0, 1.0), (-1.0, 1.0)))
+            sigma = sigma_hat(build_design(x, spec), g)
+            rho, gamma = np.trace(sigma), np.linalg.norm(sigma)
+            limit = chisq_mixture_sf(sym_eigen(sigma).values, rho + z95 * np.sqrt(2.0) * gamma)
+            assert limit == pytest.approx(size, abs=0.002)
+            assert limit > 0.06
 
 
 class TestUnstandardizedVariant:

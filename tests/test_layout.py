@@ -1,5 +1,6 @@
 """Modules of the package reach one another only through public names,
-and every module-level name is used.
+every module-level name is used, and numpy is the only third-party
+package that importing gptest loads.
 
 Every module under ``src/gptest`` is parsed with ``ast``; a module fails
 if it imports a leading-underscore name from another package module
@@ -11,6 +12,9 @@ in ``gptest.__all__``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -162,3 +166,16 @@ def test_detector_flags_unused_names():
         "m": "def f():\n    return h\n\ndef g():\n    return g()\n\nX, h = 1, 2\n",
     }
     assert unreferenced_names(sources) == ["m.X", "m.g"]
+
+
+def test_import_loads_no_scipy():
+    """``import gptest, gptest.cli`` in a fresh interpreter loads no scipy
+    module: numpy is the only runtime dependency."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                                      env.get("PYTHONPATH")]))
+    probe = ("import sys, gptest, gptest.cli\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

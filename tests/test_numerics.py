@@ -175,6 +175,24 @@ class TestDistributionHelpers:
         assert chi2_sf(3.841458820694124, 1) == pytest.approx(0.05, abs=1e-9)
         assert chi2_sf(7.814727903251179, 3) == pytest.approx(0.05, abs=1e-9)
         assert chi2_sf(0.0, 4) == 1.0
+        assert chi2_sf(np.inf, 3) == 0.0
+
+    @pytest.mark.parametrize("df", range(1, 61))
+    def test_chi2_sf_matches_scipy(self, df):
+        for x in np.geomspace(1e-6, 2000.0, 200):
+            reference = gammaincc(df / 2.0, x / 2.0)
+            if reference > 1e-300:
+                assert chi2_sf(x, df) == pytest.approx(reference, rel=1e-12, abs=0.0)
+
+    def test_normal_cdf_matches_scipy(self):
+        for x in np.linspace(-37.5, 8.5, 4601):
+            assert normal_cdf(x) == pytest.approx(ndtr(x), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("df", [0, 2.5, -1])
+    def test_chi2_sf_refuses_df_not_a_positive_integer(self, df):
+        for x in (0.0, 3.0):
+            with pytest.raises(InvalidInput, match="positive integer"):
+                chi2_sf(x, df)
 
 
 class TestChisqMixtureSf:
