@@ -36,7 +36,7 @@ _INPUT_ERRORS = (
 
 def _read_text(path: str) -> str:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.read()
     except OSError as exc:
         raise InvalidConfig(f"cannot read {path!r}: {exc}") from None
@@ -158,6 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    harness.keep_freed_memory()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

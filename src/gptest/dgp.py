@@ -9,6 +9,7 @@ that returns every nuisance's array.
 
 from __future__ import annotations
 
+import math
 import re
 import warnings
 from collections.abc import Callable
@@ -81,6 +82,8 @@ class PanelAConfig:
     def __post_init__(self):
         if self.n < 1:
             raise InvalidConfig("sample size must be >= 1")
+        if not (math.isfinite(self.alpha1) and math.isfinite(self.alpha2)):
+            raise InvalidConfig("alpha1 and alpha2 must be finite")
 
 
 @dataclass(frozen=True)
@@ -96,6 +99,8 @@ class PanelBConfig:
             raise InvalidConfig("sample size must be >= 1")
         if self.u_param not in ("var", "sd"):
             raise InvalidConfig("u_param must be 'var' or 'sd'")
+        if not (math.isfinite(self.beta1) and math.isfinite(self.beta2)):
+            raise InvalidConfig("beta1 and beta2 must be finite")
 
 
 def _panel_a_outcome_mean(x1, x2, s, a, alpha1, alpha2):
@@ -348,7 +353,7 @@ def read_csv(path: str, binary: tuple[str, ...] = (), required: tuple[str, ...] 
     with ``loadtxt``'s message.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # an Excel CSV starts with a BOM
             header = fh.readline()
             while header and header.strip() == "":
                 header = fh.readline()

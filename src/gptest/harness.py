@@ -13,6 +13,7 @@ replications run serially or across worker processes.
 from __future__ import annotations
 
 import concurrent.futures
+import ctypes
 import hashlib
 from dataclasses import dataclass, field
 
@@ -80,6 +81,9 @@ class SimGridConfig:
         # the layers' own rules, checked here once instead of in the first replication
         for n in self.sample_sizes:
             PanelBConfig(n=n, u_param=self.u_param)
+        panel = PanelAConfig if self.panel == "A" else PanelBConfig
+        for scenario in self.scenarios:
+            panel(min(self.sample_sizes), *scenario)
         check_folds(self.K, min(self.sample_sizes))
         projection = any(m != WALD_PROJECTION for m in self.methods)
         for j_star in self.j_star_list:
@@ -184,6 +188,25 @@ def run_cell(cfg: SimGridConfig, n: int, scenario, method: str, j_star: int,
     return _rows(cfg, [(n, scenario)], (method,), (j_star,), executor)[0]
 
 
+def keep_freed_memory() -> bool:
+    """Make glibc keep freed heap memory in this process for reuse, so a
+    cross-fit's large temporaries are not unmapped on free and faulted in
+    again on the next allocation: mmap threshold 32 MiB (the most older
+    glibc accepts), trim threshold 256 MiB.  Setting either one stops
+    glibc adjusting both, so the mmap threshold goes first and a refusal
+    leaves both as they were.  Only processes gptest owns call this: the
+    CLI and the pool workers.  Returns whether both took; False without
+    ``mallopt``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return mallopt(-3, 1 << 25) == 1 and mallopt(-1, 1 << 28) == 1  # M_MMAP_, M_TRIM_THRESHOLD
+
+
 def run_grid(cfg: SimGridConfig) -> RejectionTable:
     """Run every cell of the grid; deterministic given the base seed.
 
@@ -194,7 +217,8 @@ def run_grid(cfg: SimGridConfig) -> RejectionTable:
     executor = None
     try:
         if cfg.threads > 1:
-            executor = concurrent.futures.ProcessPoolExecutor(max_workers=cfg.threads)
+            executor = concurrent.futures.ProcessPoolExecutor(
+                max_workers=cfg.threads, initializer=keep_freed_memory)
         rows = _rows(cfg, datasets, cfg.methods, cfg.j_star_list, executor)
     finally:
         if executor is not None:

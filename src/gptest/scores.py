@@ -54,8 +54,8 @@ class ScoreSpec:
             raise InvalidInput(f"unknown score kind {self.kind!r}")
         if not (0.0 < self.clip_propensity < 0.5):
             raise InvalidInput("clip_propensity must lie in (0, 0.5)")
-        if self.clip_denominator <= 0.0:
-            raise InvalidInput("clip_denominator must be positive")
+        if not 0.0 < self.clip_denominator < np.inf:
+            raise InvalidInput("clip_denominator must be positive and finite")
         if self.nuisance_mode not in ("crossfit", "oracle"):
             raise InvalidInput(f"unknown nuisance_mode {self.nuisance_mode!r}")
         if self.nuisance_mode == "oracle" and not callable(self.oracle):

@@ -1,12 +1,15 @@
 import concurrent.futures
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gptest import engine
+from gptest import engine, harness
 from gptest.cli import TEST_KEYS, main
 from gptest.dgp import Dataset, PanelAConfig, gen_panel_a, read_csv, write_csv
 from gptest.errors import InvalidConfig
@@ -431,6 +434,88 @@ class TestCli:
     def test_missing_data_file_exits_2(self, capsys, test_config_file):
         assert main(["test", "--data", "/no/such.csv", "--config", test_config_file]) == 2
 
+    def test_byte_order_mark_is_read_past(self, capsys, tmp_path, panel_a_csv,
+                                          test_config_file):
+        # Excel's "CSV UTF-8" files start with a UTF-8 byte-order mark
+        main(["test", "--data", panel_a_csv, "--config", test_config_file])
+        plain = capsys.readouterr().out
+        data, cfg = tmp_path / "bom.csv", tmp_path / "bom.cfg"
+        data.write_bytes(b"\xef\xbb\xbf" + Path(panel_a_csv).read_bytes())
+        cfg.write_bytes(b"\xef\xbb\xbf" + Path(test_config_file).read_bytes())
+        assert main(["test", "--data", str(data), "--config", test_config_file]) == 0
+        assert capsys.readouterr().out == plain
+        assert main(["test", "--data", panel_a_csv, "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == plain
+
+
+def _run_fresh(probe: str) -> str:
+    """Standard output of ``probe`` run in a fresh interpreter on this checkout."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=300)
+    return out.stdout.strip()
+
+
+class TestKeepFreedMemory:
+    """Processes gptest owns reuse freed heap memory instead of faulting it in
+    again.  Each count runs in a fresh interpreter, because ``cli.main`` in
+    this one has already changed its allocator."""
+
+    def test_serial_crossfit_takes_no_page_faults(self):
+        # without keep_freed_memory a cross-fit here takes about 100 faults
+        probe = (
+            "import resource\n"
+            "from gptest import harness\n"
+            "from gptest.dgp import PanelBConfig, gen_panel_b\n"
+            "from gptest.nuisance import crossfit\n"
+            "from gptest.numerics import RngStream\n"
+            "from gptest.scores import IV_COMPATIBILITY, ScoreSpec\n"
+            "if not harness.keep_freed_memory():\n"
+            "    print('unsupported')\n"
+            "    raise SystemExit\n"
+            "spec = ScoreSpec(kind=IV_COMPATIBILITY)\n"
+            "data = [gen_panel_b(PanelBConfig(n=3000, seed=s)) for s in range(13)]\n"
+            "faults = 0\n"
+            "for s, d in enumerate(data):\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    crossfit(d, spec, K=5, rng=RngStream(s))\n"
+            "    if s >= 3:\n"
+            "        faults += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
+            "print(faults / 10)\n"
+        )
+        out = _run_fresh(probe)
+        if out == "unsupported":
+            pytest.skip("no mallopt in this C library")
+        assert float(out) < 20
+
+    def test_pool_workers_take_few_page_faults(self):
+        # without the pool initializer the workers take about 300 faults per dataset
+        if not harness.keep_freed_memory():
+            pytest.skip("no mallopt in this C library")
+        probe = (
+            "import resource\n"
+            "from gptest.harness import SimGridConfig, run_grid\n"
+            "cfg = SimGridConfig(panel='B', sample_sizes=(3000,), scenarios=((0, 0), (0.5, 0)),\n"
+            "                    j_star_list=(3, 5), methods=('gp_standardized', "
+            "'gp_unstandardized'),\n"
+            "                    replications=64, threads=2)\n"
+            "before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt\n"
+            "run_grid(cfg)\n"
+            "print((resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before) / 128)\n"
+        )
+        assert float(_run_fresh(probe)) < 120
+
+    def test_library_calls_leave_the_allocator_alone(self, monkeypatch, panel_a_csv,
+                                                     test_config_file, capsys):
+        calls = []
+        monkeypatch.setattr(harness, "keep_freed_memory", lambda: calls.append(1))
+        run_grid(SimGridConfig(sample_sizes=(250,), replications=2, nuisance_mode="oracle"))
+        assert calls == []
+        assert main(["test", "--data", panel_a_csv, "--config", test_config_file]) == 0
+        assert calls == [1]
+
 
 # One unparseable or out-of-range value per key of each command.
 BAD_TEST_VALUES = [
@@ -439,6 +524,7 @@ BAD_TEST_VALUES = [
     ("covariates", "covariates ="),
     ("clip_propensity", "clip_propensity = 0.5"),
     ("clip_denominator", "clip_denominator = 0"),
+    ("clip_denominator", "clip_denominator = nan"),
     *((f"{role}_col", f"{role}_col =") for role in ("y", "a", "s", "d", "z1", "z2", "z")),
     ("variant", "variant = anova"),
     ("folds", "folds = 2.5"),
@@ -453,6 +539,8 @@ BAD_SIM_VALUES = [
     ("panel", "panel = C"),
     ("sample_sizes", "sample_sizes = 0"),
     ("scenarios", "scenarios = 1,2,3"),
+    ("scenarios", "scenarios = nan,0"),
+    ("scenarios", "panel = B\nscenarios = inf,0"),
     ("j_star", "j_star = x"),
     ("methods", "methods = anova"),
     ("replications", "replications = 0"),
