@@ -24,7 +24,7 @@ from .dgp import (
     read_csv,
     write_csv,
 )
-from .harness import RejectionTable, SimGridConfig, run_cell, run_grid
+from .harness import RejectionTable, SimGridConfig, run_grid
 from .nuisance import crossfit, make_folds
 from .numerics import RngStream
 from .scores import ScoreSpec, evaluate_score, orthogonality_diagnostic
@@ -41,7 +41,7 @@ __all__ = [
     "gen_panel_a", "gen_panel_b",
     "oracle_nuisances_panel_a", "oracle_nuisances_panel_b",
     "read_csv", "write_csv",
-    "RejectionTable", "SimGridConfig", "run_cell", "run_grid",
+    "RejectionTable", "SimGridConfig", "run_grid",
     "crossfit", "make_folds",
     "RngStream",
     "ScoreSpec", "evaluate_score", "orthogonality_diagnostic",

@@ -17,6 +17,7 @@ from . import harness
 from .basis import BasisSpec, basis_bound_diagnostics
 from .engine import METHODS, TestConfig, run_gp_test
 from .errors import (
+    DegenerateScale,
     GptestError,
     InsufficientStratum,
     InvalidConfig,
@@ -31,6 +32,7 @@ from .scores import ScoreSpec
 
 _INPUT_ERRORS = (
     SchemaError, InvalidConfig, InvalidInput, OutOfRange, InsufficientStratum, SingularDesign,
+    DegenerateScale,
 )
 
 
@@ -75,7 +77,7 @@ def cmd_test(args) -> int:
     overrides = {"seed": args.seed, "alpha": args.alpha}
     kw = harness.parse_config(_read_text(args.config), TEST_KEYS, overrides)
     spec = ScoreSpec(columns=kw["columns"], **kw["score"])
-    data = read_csv(args.data)
+    data = read_csv(args.data, binary=spec.binary_columns())
     ranges = _empirical_ranges(data.covariate_matrix(spec.covariates))
     basis_spec = BasisSpec(ranges=ranges, **kw["basis"])
     result = run_gp_test(data, spec, basis_spec, TestConfig(**kw["test"]), **kw["run"])

@@ -310,16 +310,13 @@ def _locate_bad_row(lines: list[str], names: list[str]) -> None:
                 ) from None
 
 
-def _header_names(header: str, path: str, required: tuple[str, ...]) -> list[str]:
+def _header_names(header: str, path: str) -> list[str]:
     names = [name.strip() for name in header.rstrip("\n").split(",")]
     for pos, name in enumerate(names):
         if not name:
             raise SchemaError(f"empty column name at position {pos + 1} in {path!r}")
         if names.index(name) < pos:
             raise SchemaError(f"duplicate column name {name!r} in {path!r}")
-    for name in required:
-        if name not in names:
-            raise SchemaError(f"missing required column {name!r} in {path!r}")
     return names
 
 
@@ -341,7 +338,7 @@ def _parse_lines(body: list[str], names: list[str], path: str) -> np.ndarray:
     return values
 
 
-def read_csv(path: str, binary: tuple[str, ...] = (), required: tuple[str, ...] = ()) -> Dataset:
+def read_csv(path: str, binary: tuple[str, ...] = ()) -> Dataset:
     """Read a strictly numeric CSV with a header row into a Dataset.
 
     Blank and whitespace-only lines are skipped.  The header is the
@@ -350,7 +347,8 @@ def read_csv(path: str, binary: tuple[str, ...] = (), required: tuple[str, ...] 
     non-blank lines are parsed again, and a failure is scanned row by
     row to name the offending row and cell.  A cell ``loadtxt`` rejects
     but ``float`` accepts (a digit separator such as ``1_0``) is refused
-    with ``loadtxt``'s message.
+    with ``loadtxt``'s message.  Each column of ``binary`` that the file
+    has must hold only 0 and 1.
     """
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:  # an Excel CSV starts with a BOM
@@ -359,7 +357,7 @@ def read_csv(path: str, binary: tuple[str, ...] = (), required: tuple[str, ...] 
                 header = fh.readline()
             if not header:
                 raise SchemaError(f"empty input file {path!r}")
-            names = _header_names(header, path, required)
+            names = _header_names(header, path)
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error", UserWarning)  # loadtxt warns on no rows

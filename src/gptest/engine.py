@@ -1,7 +1,7 @@
 """Test statistics and calibration: the growing-basis projection tests
 and the fixed-dimension Wald baseline.
 
-The projection statistic is S = n * a' Omega a with a the empirical
+The projection statistic is S = n * a'a with a the empirical
 projection of the pseudo-outcomes onto the basis.  Calibration is
 either against the weighted chi-square mixture over the eigenvalues of
 Sigma-hat, whose tail is computed exactly by characteristic-function
@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import BasisSpec, DesignMatrix, build_design, restrict
-from .errors import DegenerateScale, InvalidInput, NotPSD
+from .errors import DegenerateScale, InvalidInput
 from .dgp import Dataset
 from .nuisance import crossfit, with_intercept
 from .numerics import (
-    RIDGE_JITTER, RngStream, chi2_sf, chisq_mixture_sf, normal_cdf, psd_sqrt, sym_eigen,
+    RIDGE_JITTER, RngStream, chi2_sf, chisq_mixture_sf, normal_cdf, sym_eigen,
 )
 from .scores import ScoreSpec
 
@@ -34,7 +34,6 @@ METHODS = (GP_STANDARDIZED, GP_UNSTANDARDIZED, WALD_PROJECTION)
 @dataclass
 class TestConfig:
     alpha: float = 0.05
-    weighting: np.ndarray | None = None  # None means identity
     seed: int = 0
 
     def __post_init__(self):
@@ -86,44 +85,32 @@ def projection_vector(design: DesignMatrix, g: np.ndarray) -> np.ndarray:
     return design.values.T @ g / design.n
 
 
-def _omega_or_identity(omega, J: int) -> np.ndarray:
-    if omega is None:
-        return np.eye(J)
-    omega = np.asarray(omega, dtype=float)
-    if omega.shape != (J, J):
-        raise InvalidInput(f"weighting matrix is {omega.shape}, expected ({J}, {J})")
-    return omega
-
-
-def statistic(a: np.ndarray, omega, n: int) -> float:
-    """S = n * a' Omega a; validates PSD-ness of a supplied weighting."""
+def statistic(a: np.ndarray, n: int) -> float:
+    """S = n * a'a."""
     a = np.asarray(a, dtype=float)
-    if omega is None:
-        return float(n * a @ a)
-    omega = _omega_or_identity(omega, a.shape[0])
-    if sym_eigen(omega).values.min() < -1e-10 * max(1.0, np.linalg.norm(omega)):
-        raise NotPSD("weighting matrix has a negative eigenvalue")
-    return float(n * a @ omega @ a)
+    return float(n * a @ a)
 
 
-def sigma_hat(design: DesignMatrix, g: np.ndarray, omega=None) -> np.ndarray:
-    """(1/n) sum_i g_i^2 (Omega^{1/2} B_i)(Omega^{1/2} B_i)'."""
+def sigma_hat(design: DesignMatrix, g: np.ndarray) -> np.ndarray:
+    """(1/n) sum_i g_i^2 B_i B_i'."""
     g = np.asarray(g, dtype=float)
     if g.shape[0] != design.n:
         raise InvalidInput(f"{design.n} design rows but {g.shape[0]} pseudo-outcomes")
-    b = design.values
-    if omega is not None:
-        b = b @ psd_sqrt(_omega_or_identity(omega, design.J)).T
-    weighted = b * g[:, None]
+    weighted = design.values * g[:, None]
     return weighted.T @ weighted / design.n
 
 
-def _statistic_and_scale(design: DesignMatrix, g, config: TestConfig):
-    """S, Sigma-hat, and its trace and Frobenius norm, shared by both GP variants."""
+def _statistic_and_scale(design: DesignMatrix, g):
+    """S, Sigma-hat, and its trace and Frobenius norm, shared by both GP
+    variants; an identically zero Sigma-hat (every pseudo-outcome 0) has
+    no scale to calibrate against."""
     a = projection_vector(design, g)
-    s = statistic(a, config.weighting, design.n)
-    sig = sigma_hat(design, g, config.weighting)
-    return s, sig, float(np.trace(sig)), float(np.linalg.norm(sig))
+    s = statistic(a, design.n)
+    sig = sigma_hat(design, g)
+    gamma = float(np.linalg.norm(sig))
+    if gamma == 0.0:
+        raise DegenerateScale("Sigma-hat is identically zero")
+    return s, sig, float(np.trace(sig)), gamma
 
 
 def _mixture_calibrated(J: int, scale, config: TestConfig) -> TestResult:
@@ -144,8 +131,6 @@ def _mixture_calibrated(J: int, scale, config: TestConfig) -> TestResult:
 
 def _normal_calibrated(J: int, scale, config: TestConfig) -> TestResult:
     s, _, rho, gamma = scale
-    if gamma == 0.0:
-        raise DegenerateScale("Sigma-hat is identically zero")
     t = (s - rho) / (np.sqrt(2.0) * gamma)
     p = normal_cdf(-t)  # the upper tail without the cancellation of 1 - cdf(t)
     return TestResult(
@@ -169,7 +154,7 @@ def gp_test_unstandardized(design: DesignMatrix, g, config: TestConfig) -> TestR
     The p-value is the exact mixture tail over the eigenvalues of
     Sigma-hat, so it needs no random draws.
     """
-    return _mixture_calibrated(design.J, _statistic_and_scale(design, g, config), config)
+    return _mixture_calibrated(design.J, _statistic_and_scale(design, g), config)
 
 
 def gp_test_standardized(design: DesignMatrix, g, config: TestConfig) -> TestResult:
@@ -178,7 +163,7 @@ def gp_test_standardized(design: DesignMatrix, g, config: TestConfig) -> TestRes
     T = (S - trace Sigma) / (sqrt(2) ||Sigma||_F); rejects one-sided when
     T exceeds the upper-alpha normal quantile.
     """
-    return _normal_calibrated(design.J, _statistic_and_scale(design, g, config), config)
+    return _normal_calibrated(design.J, _statistic_and_scale(design, g), config)
 
 
 def wald_projection_test(x_features, g, alpha: float = 0.05) -> TestResult:
@@ -274,7 +259,7 @@ def run_gp_tests(
     scales = []
     if any(variant != WALD_PROJECTION for variant in variants):
         designs = _designs(x, basis_specs)
-        scales = [(design.J, _statistic_and_scale(design, g, config)) for design in designs]
+        scales = [(design.J, _statistic_and_scale(design, g)) for design in designs]
     results = []
     for variant in variants:
         if variant == WALD_PROJECTION:

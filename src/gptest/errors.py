@@ -13,10 +13,6 @@ class InvalidConfig(GptestError):
     pass
 
 
-class NotPSD(GptestError):
-    pass
-
-
 class SingularDesign(GptestError):
     pass
 

@@ -119,8 +119,8 @@ def replication_seed(base_seed: int, panel: str, n: int, scenario, method: str |
 
 def _one_replication(task: tuple) -> list[bool]:
     """Generate one dataset, cross-fit it once, and return the decision of
-    every (method, J*) of ``methods`` x ``j_stars``, method-major."""
-    cfg, n, scenario, methods, j_stars, seed = task
+    every (method, J*) of the grid, method-major."""
+    cfg, n, scenario, seed = task
     if cfg.panel == "A":
         dgp_cfg = PanelAConfig(n=n, alpha1=scenario[0], alpha2=scenario[1], seed=seed)
         data, kind = gen_panel_a(dgp_cfg), MEAN_EXCHANGEABILITY
@@ -134,58 +134,12 @@ def _one_replication(task: tuple) -> list[bool]:
     basis_specs = [
         BasisSpec(family=cfg.basis_family, j_star=j_star, combination=cfg.combination,
                   ranges=((-1.0, 1.0), (-1.0, 1.0)))
-        for j_star in j_stars
+        for j_star in cfg.j_star_list
     ]
     config = TestConfig(alpha=cfg.alpha, seed=seed)
     rng = RngStream(seed).spawn(1)  # fold assignment stream, distinct from the DGP's
-    results = run_gp_tests(data, score, basis_specs, config, methods, K=cfg.K, rng=rng)
+    results = run_gp_tests(data, score, basis_specs, config, cfg.methods, K=cfg.K, rng=rng)
     return [bool(result.reject) for row in results for result in row]
-
-
-def _rows(cfg: SimGridConfig, datasets, methods, j_stars, executor) -> list[dict]:
-    """Rows of every (n, scenario) of ``datasets`` x (method, J*) of
-    ``methods`` x ``j_stars``, in grid order.
-
-    One task is one (n, scenario, rep); every task goes through one
-    ``executor.map``, or runs in this process when ``executor`` is None.
-    """
-    tasks = [
-        (cfg, n, scenario, methods, j_stars,
-         replication_seed(cfg.base_seed, cfg.panel, n, scenario,
-                          method=None, j_star=None, rep=rep))
-        for n, scenario in datasets
-        for rep in range(cfg.replications)
-    ]
-    if executor is None:
-        decisions = [_one_replication(t) for t in tasks]
-    else:
-        # about 8 chunks per worker, for a short tail; at most 32 tasks, so long grids balance too
-        chunksize = max(1, min(32, len(tasks) // (8 * cfg.threads)))
-        decisions = list(executor.map(_one_replication, tasks, chunksize=chunksize))
-    R = cfg.replications
-    rows = []
-    for i, (n, scenario) in enumerate(datasets):
-        rates = np.mean(decisions[i * R:(i + 1) * R], axis=0)
-        for k, (method, j_star) in enumerate((m, j) for m in methods for j in j_stars):
-            rate = float(rates[k])
-            rows.append({
-                "panel": cfg.panel,
-                "n": n,
-                "scenario_1": scenario[0],
-                "scenario_2": scenario[1],
-                "method": method,
-                "j_star": j_star,
-                "rejection_rate": rate,
-                "replications": R,
-                "mc_stderr": float(np.sqrt(rate * (1.0 - rate) / R)),
-            })
-    return rows
-
-
-def run_cell(cfg: SimGridConfig, n: int, scenario, method: str, j_star: int,
-             executor=None) -> dict:
-    """Run R replications of one grid cell and summarize the rejection rate."""
-    return _rows(cfg, [(n, scenario)], (method,), (j_star,), executor)[0]
 
 
 def keep_freed_memory() -> bool:
@@ -210,19 +164,44 @@ def keep_freed_memory() -> bool:
 def run_grid(cfg: SimGridConfig) -> RejectionTable:
     """Run every cell of the grid; deterministic given the base seed.
 
-    Each replication's dataset and cross-fit are shared by every method
-    and J* of its (n, scenario).
+    One task is one (n, scenario, rep), whose dataset and cross-fit are
+    shared by every method and J* of the grid.  The tasks run in this
+    process, or with ``threads > 1`` through one ``executor.map`` over a
+    pool of that many worker processes.
     """
     datasets = [(n, scenario) for n in cfg.sample_sizes for scenario in cfg.scenarios]
-    executor = None
-    try:
-        if cfg.threads > 1:
-            executor = concurrent.futures.ProcessPoolExecutor(
-                max_workers=cfg.threads, initializer=keep_freed_memory)
-        rows = _rows(cfg, datasets, cfg.methods, cfg.j_star_list, executor)
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    tasks = [
+        (cfg, n, scenario,
+         replication_seed(cfg.base_seed, cfg.panel, n, scenario,
+                          method=None, j_star=None, rep=rep))
+        for n, scenario in datasets
+        for rep in range(cfg.replications)
+    ]
+    if cfg.threads == 1:
+        decisions = [_one_replication(t) for t in tasks]
+    else:
+        # about 8 chunks per worker, for a short tail; at most 32 tasks, so long grids balance too
+        chunksize = max(1, min(32, len(tasks) // (8 * cfg.threads)))
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=cfg.threads, initializer=keep_freed_memory) as executor:
+            decisions = list(executor.map(_one_replication, tasks, chunksize=chunksize))
+    R = cfg.replications
+    rows = []
+    for i, (n, scenario) in enumerate(datasets):
+        rates = np.mean(decisions[i * R:(i + 1) * R], axis=0)
+        for k, (method, j_star) in enumerate((m, j) for m in cfg.methods for j in cfg.j_star_list):
+            rate = float(rates[k])
+            rows.append({
+                "panel": cfg.panel,
+                "n": n,
+                "scenario_1": scenario[0],
+                "scenario_2": scenario[1],
+                "method": method,
+                "j_star": j_star,
+                "rejection_rate": rate,
+                "replications": R,
+                "mc_stderr": float(np.sqrt(rate * (1.0 - rate) / R)),
+            })
     return RejectionTable(rows)
 
 

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInput, NotPSD
+from .errors import InvalidInput
 
 # Odd 64-bit constant used to derive child stream seeds (splitmix64 increment).
 _STREAM_SALT = 0x9E3779B97F4A7C15
@@ -52,23 +52,6 @@ def sym_eigen(a) -> EigenDecomposition:
     vals, vecs = np.linalg.eigh(a)
     order = np.argsort(vals)[::-1]
     return EigenDecomposition(values=vals[order], vectors=vecs[:, order])
-
-
-def psd_sqrt(a) -> np.ndarray:
-    """Square root M of a PSD matrix with M^T M = A.
-
-    Convention: M = diag(sqrt(lambda)) V^T, i.e. the rows of M are the
-    eigenvectors scaled by the root eigenvalues.  Eigenvalues that are
-    negative by no more than 1e-10 * ||A|| are treated as rounding noise
-    and clipped to zero; anything more negative raises NotPSD.
-    """
-    a = _as_sym(a)
-    dec = sym_eigen(a)
-    tol = 1e-10 * max(1.0, float(np.linalg.norm(a)))
-    if dec.values.min() < -tol:
-        raise NotPSD(f"eigenvalue {dec.values.min():.3e} below -{tol:.3e}")
-    vals = np.clip(dec.values, 0.0, None)
-    return np.sqrt(vals)[:, None] * dec.vectors.T
 
 
 class RngStream:

@@ -48,6 +48,8 @@ class ScoreSpec:
         "y": "Y", "a": "A", "s": "S", "d": "D",
         "z1": "Z1", "z2": "Z2", "z": "Z",
     }
+    # roles that hold a 0/1 indicator, by score kind
+    _BINARY_ROLES = {MEAN_EXCHANGEABILITY: ("s", "a"), IV_COMPATIBILITY: ("z1", "z2")}
 
     def __post_init__(self):
         if self.kind not in SCORE_KINDS:
@@ -65,9 +67,16 @@ class ScoreSpec:
             )
         if self.arm not in (0, 1):
             raise InvalidInput("arm must be 0 or 1")
+        for pos, name in enumerate(self.covariates):
+            if name in self.covariates[:pos]:
+                raise InvalidInput(f"covariate {name!r} is listed twice")
 
     def column(self, role: str) -> str:
         return self.columns.get(role, self._DEFAULT_COLUMNS[role])
+
+    def binary_columns(self) -> tuple[str, ...]:
+        """The dataset columns of the score's 0/1 indicator roles."""
+        return tuple(self.column(role) for role in self._BINARY_ROLES.get(self.kind, ()))
 
 
 def _clip_prob(p, clip):

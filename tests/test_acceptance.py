@@ -1,11 +1,10 @@
 """Acceptance suite: desk-scale rejection-rate reproductions plus the
 property-based checks.  Each criterion prints a single PASS/FAIL line.
 
-The Monte Carlo criteria share one process pool and a cell cache, so the
-whole file stays within a few minutes on four cores.
+The Monte Carlo criteria share a cache of grids, one per (panel, n,
+scenario, nuisance), each run on four worker processes, so the whole file
+stays within a few minutes on four cores.
 """
-
-import concurrent.futures
 
 import numpy as np
 
@@ -19,7 +18,7 @@ from gptest.dgp import (
     oracle_nuisances_panel_a,
     oracle_nuisances_panel_b,
 )
-from gptest.harness import SimGridConfig, run_cell, run_grid
+from gptest.harness import SimGridConfig, run_grid
 from gptest.numerics import RngStream, sym_eigen
 from gptest.scores import ScoreSpec, orthogonality_diagnostic
 from mc_reference import weighted_chisq_pvalue
@@ -27,33 +26,29 @@ from mc_reference import weighted_chisq_pvalue
 R = 500
 ALPHA = 0.05
 
-_CELLS = {}
-_EXECUTOR = None
-
-
-def setup_module(module):
-    global _EXECUTOR
-    _EXECUTOR = concurrent.futures.ProcessPoolExecutor(max_workers=4)
-
-
-def teardown_module(module):
-    _EXECUTOR.shutdown()
+# every method and J* the criteria read, by panel; a grid's rows do not
+# depend on which others share it, since its methods share each dataset
+_METHODS = {"A": ("gp_standardized", "wald"), "B": ("gp_standardized",)}
+_J_STARS = {"A": (3,), "B": (5,)}
+_GRIDS = {}
 
 
 def cell(panel, n, scenario, method, j_star, nuisance="crossfit"):
-    key = (panel, n, scenario, method, j_star, nuisance)
-    if key not in _CELLS:
+    key = (panel, n, scenario, nuisance)
+    if key not in _GRIDS:
         cfg = SimGridConfig(
             panel=panel,
             sample_sizes=(n,),
             scenarios=(scenario,),
-            j_star_list=(j_star,),
-            methods=(method,),
+            j_star_list=_J_STARS[panel],
+            methods=_METHODS[panel],
             replications=R,
             nuisance_mode=nuisance,
+            threads=4,
         )
-        _CELLS[key] = run_cell(cfg, n, scenario, method, j_star, executor=_EXECUTOR)
-    return _CELLS[key]
+        _GRIDS[key] = run_grid(cfg).rows
+    (row,) = [r for r in _GRIDS[key] if r["method"] == method and r["j_star"] == j_star]
+    return row
 
 
 def pooled_se(a, b):

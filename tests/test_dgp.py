@@ -339,7 +339,7 @@ class TestCsvRoundTrip:
         path.write_text("X1, Y\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            data = read_csv(str(path), required=("Y",))
+            data = read_csv(str(path))
         assert list(data.columns) == ["X1", "Y"]
         assert data.n == 0
 
@@ -423,12 +423,6 @@ class TestCsvRoundTrip:
                 return
             data = read_csv(str(path))
         assert {name: col.tolist() for name, col in data.columns.items()} == expected
-
-    def test_missing_required_column(self, tmp_path):
-        path = tmp_path / "partial.csv"
-        path.write_text("X1,Y\n0.5,1.0\n")
-        with pytest.raises(SchemaError, match="'S'"):
-            read_csv(str(path), required=("S",))
 
 
 def _reference_write_csv(data, path):

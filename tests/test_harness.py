@@ -11,7 +11,9 @@ import pytest
 
 from gptest import engine, harness
 from gptest.cli import TEST_KEYS, main
-from gptest.dgp import Dataset, PanelAConfig, gen_panel_a, read_csv, write_csv
+from gptest.dgp import (
+    Dataset, PanelAConfig, PanelBConfig, gen_panel_a, gen_panel_b, read_csv, write_csv,
+)
 from gptest.errors import InvalidConfig
 from gptest.harness import (
     SIM_KEYS,
@@ -20,7 +22,6 @@ from gptest.harness import (
     parse_config,
     parse_config_text,
     replication_seed,
-    run_cell,
     run_grid,
     sim_config_from_text,
 )
@@ -165,22 +166,20 @@ def tiny_config(**kw):
 
 
 class TestRunCell:
+    """One-cell grids: one (n, scenario), one method and one J*."""
+
     def test_single_replication_row(self):
-        cfg = tiny_config(replications=1)
-        row = run_cell(cfg, 250, (0.0, 0.0), "gp_standardized", 3)
+        (row,) = run_grid(tiny_config(replications=1)).rows
         assert row["rejection_rate"] in (0.0, 1.0)
         assert row["mc_stderr"] == 0.0
         assert set(TABLE_HEADER) <= set(row)
 
     def test_deterministic(self):
         cfg = tiny_config()
-        a = run_cell(cfg, 250, (0.0, 0.0), "gp_standardized", 3)
-        b = run_cell(cfg, 250, (0.0, 0.0), "gp_standardized", 3)
-        assert a["rejection_rate"] == b["rejection_rate"]
+        assert run_grid(cfg).rows == run_grid(cfg).rows
 
     def test_stderr_formula(self):
-        cfg = tiny_config(replications=8, scenarios=((0.2, 0.0),))
-        row = run_cell(cfg, 250, (0.2, 0.0), "gp_standardized", 3)
+        (row,) = run_grid(tiny_config(replications=8, scenarios=((0.2, 0.0),))).rows
         r = row["rejection_rate"]
         assert row["mc_stderr"] == pytest.approx(np.sqrt(r * (1 - r) / 8))
 
@@ -306,6 +305,41 @@ class TestCli:
         assert main(["test", "--data", str(path), "--config", test_config_file]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "collinear or constant within a stratum" in err
+
+    @pytest.mark.parametrize(
+        "panel, config, role, column, value",
+        [
+            ("A", "score = mean_exchangeability", "S", "S", 2.0),
+            ("A", "score = mean_exchangeability\na_col = treated", "A", "treated", 0.5),
+            ("B", "score = iv_compatibility", "Z2", "Z2", -1.0),
+        ],
+        ids=["S", "A_renamed", "Z2"],
+    )
+    def test_non_binary_indicator_exits_2(self, capsys, tmp_path, panel, config, role, column,
+                                          value):
+        # the score's indicator roles, under their *_col names, must hold only 0 and 1
+        data = gen_panel_a(PanelAConfig(n=600, seed=41)) if panel == "A" else \
+            gen_panel_b(PanelBConfig(n=600, seed=41))
+        columns = dict(data.columns)
+        columns[column] = columns.pop(role).copy()
+        columns[column][7] = value
+        data_path, cfg = tmp_path / "data.csv", tmp_path / "test.cfg"
+        write_csv(Dataset(columns=columns), str(data_path))
+        cfg.write_text(config + "\n")
+        assert main(["test", "--data", str(data_path), "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: binary column {column!r} has value {value} at row 8\n"
+
+    def test_zero_outcome_exits_2(self, capsys, tmp_path):
+        # Y = 0 everywhere: every fit and pseudo-outcome is 0, so Sigma-hat is zero
+        data = gen_panel_a(PanelAConfig(n=600, seed=41))
+        path = tmp_path / "zero_y.csv"
+        write_csv(Dataset(columns={**data.columns, "Y": np.zeros(data.n)}), str(path))
+        for variant in ("gp_standardized", "gp_unstandardized"):
+            cfg = tmp_path / f"{variant}.cfg"
+            cfg.write_text(f"score = mean_exchangeability\nvariant = {variant}\n")
+            assert main(["test", "--data", str(path), "--config", str(cfg)]) == 2
+            assert capsys.readouterr().err == "error: Sigma-hat is identically zero\n"
 
     @pytest.mark.parametrize(
         "text, message",
@@ -522,6 +556,7 @@ BAD_TEST_VALUES = [
     ("score", "score = anova"),
     ("arm", "arm = x"),
     ("covariates", "covariates ="),
+    ("covariates", "covariates = X1, X1"),
     ("clip_propensity", "clip_propensity = 0.5"),
     ("clip_denominator", "clip_denominator = 0"),
     ("clip_denominator", "clip_denominator = nan"),

@@ -4,13 +4,12 @@ from numpy.polynomial.legendre import leggauss
 from scipy import integrate
 from scipy.special import chdtri, gammaincc, ndtr
 
-from gptest.errors import InvalidInput, NotPSD
+from gptest.errors import InvalidInput
 from gptest.numerics import (
     RngStream,
     chi2_sf,
     chisq_mixture_sf,
     normal_cdf,
-    psd_sqrt,
     sym_eigen,
 )
 from mc_reference import chisq1, weighted_chisq_pvalue
@@ -50,43 +49,6 @@ class TestSymEigen:
             assert np.linalg.norm(recon - a) <= 1e-10 * scale
             assert np.linalg.norm(dec.vectors.T @ dec.vectors - np.eye(dim)) <= 1e-10
             assert np.all(np.diff(dec.values) <= 1e-12)
-
-
-class TestPsdSqrt:
-    def test_identity(self):
-        m = psd_sqrt(np.eye(3))
-        assert np.allclose(m.T @ m, np.eye(3), atol=1e-12)
-
-    def test_diagonal(self):
-        a = np.diag([4.0, 9.0])
-        m = psd_sqrt(a)
-        assert np.allclose(m.T @ m, a, atol=1e-12)
-        assert np.allclose(sorted(np.linalg.svd(m)[1]), [2.0, 3.0])
-
-    def test_hand_eigen_pairs(self):
-        # [[2,1],[1,2]] has pairs (3, (1,1)/sqrt2) and (1, (1,-1)/sqrt2)
-        a = np.array([[2.0, 1.0], [1.0, 2.0]])
-        m = psd_sqrt(a)
-        assert np.linalg.norm(m.T @ m - a) < 1e-12
-
-    def test_row_convention(self):
-        # rows of M are eigenvectors scaled by sqrt(eigenvalue)
-        a = np.array([[2.0, 1.0], [1.0, 2.0]])
-        m = psd_sqrt(a)
-        assert np.allclose(np.abs(m[0]), np.sqrt(3.0) / np.sqrt(2.0))
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(NotPSD):
-            psd_sqrt([[1.0, 0.0], [0.0, -1.0]])
-
-    def test_roundtrip_random_psd(self):
-        rng = np.random.default_rng(7)
-        for _ in range(100):
-            dim = rng.integers(1, 20)
-            g = rng.standard_normal((dim + 2, dim))
-            a = g.T @ g
-            m = psd_sqrt(a)
-            assert np.linalg.norm(m.T @ m - a) <= 1e-9 * max(1.0, np.linalg.norm(a))
 
 
 class TestRngStream:
