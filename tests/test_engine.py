@@ -209,6 +209,20 @@ class TestStandardizedLimitingSize:
 
 
 class TestUnstandardizedVariant:
+    def test_zero_scores_accepts(self):
+        # Only an identically zero score is refused: one nonzero row gives a
+        # rank-one Sigma-hat = 0.1 * [[1, 1], [1, 1]] and S = 0.2, so p is
+        # the chi-square(1) tail at 1.
+        design = design_from(np.ones((10, 2)))
+        g = np.zeros(10)
+        g[0] = 1.0
+        res = gp_test_unstandardized(design, g, EngineConfig())
+        assert res.statistic == pytest.approx(0.2, rel=1e-12)
+        assert res.p_value == pytest.approx(chi2_sf(1.0, 1), rel=1e-9)
+        assert not res.reject
+        with pytest.raises(DegenerateScale, match="Sigma-hat is identically zero"):
+            gp_test_unstandardized(design, np.zeros(10), EngineConfig())
+
     def test_p_is_exact_mixture_tail_without_a_seed(self):
         rng = np.random.default_rng(24)
         design = design_from(rng.standard_normal((120, 5)))
