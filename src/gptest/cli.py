@@ -61,7 +61,7 @@ TEST_KEYS = (
     ("covariates", harness.listed(str), "score", "covariates"),
     ("clip_propensity", float, "score", "clip_propensity"),
     ("clip_denominator", float, "score", "clip_denominator"),
-    *((f"{role}_col", harness.name, "columns", role)
+    *((f"{role}_col", harness.name, "score", ("columns", role))
       for role in ("y", "a", "s", "d", "z1", "z2", "z")),
     ("variant", harness.choice(METHODS), "run", "variant"),
     ("folds", lambda text: check_folds(int(text)), "run", "K"),
@@ -76,8 +76,8 @@ TEST_KEYS = (
 def cmd_test(args) -> int:
     overrides = {"seed": args.seed, "alpha": args.alpha}
     kw = harness.parse_config(_read_text(args.config), TEST_KEYS, overrides)
-    spec = ScoreSpec(columns=kw["columns"], **kw["score"])
-    data = read_csv(args.data, binary=spec.binary_columns())
+    spec = ScoreSpec(**kw["score"])
+    data = read_csv(args.data)
     ranges = _empirical_ranges(data.covariate_matrix(spec.covariates))
     basis_spec = BasisSpec(ranges=ranges, **kw["basis"])
     result = run_gp_test(data, spec, basis_spec, TestConfig(**kw["test"]), **kw["run"])

@@ -20,9 +20,6 @@ import numpy as np
 from .errors import InvalidConfig, SchemaError
 from .numerics import RngStream
 
-PANEL_A_BINARY = ("S", "A")
-PANEL_B_BINARY = ("Z1", "Z2", "D")
-
 
 def expit(x):
     return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
@@ -30,10 +27,9 @@ def expit(x):
 
 @dataclass
 class Dataset:
-    """Column-named observation matrix with declared binary columns."""
+    """Column-named observation matrix of finite floats."""
 
     columns: dict[str, np.ndarray]
-    binary: tuple[str, ...] = ()
     provenance: str = ""
 
     def __post_init__(self):
@@ -48,16 +44,6 @@ class Dataset:
                 row = int(np.argmax(~np.isfinite(arr)))
                 raise SchemaError(f"non-finite value in column {name!r} at row {row + 1}")
             self.columns[name] = arr
-        for name in self.binary:
-            if name not in self.columns:
-                raise SchemaError(f"declared binary column {name!r} is missing")
-            vals = self.columns[name]
-            bad = (vals != 0.0) & (vals != 1.0)
-            if np.any(bad):
-                row = int(np.argmax(bad))
-                raise SchemaError(
-                    f"binary column {name!r} has value {float(vals[row])} at row {row + 1}"
-                )
 
     @property
     def n(self) -> int:
@@ -136,7 +122,6 @@ def gen_panel_a(cfg: PanelAConfig) -> Dataset:
     y = np.where(a == 1.0, y1, y0)
     return Dataset(
         columns={"X1": x1, "X2": x2, "S": s, "A": a, "Y": y},
-        binary=PANEL_A_BINARY,
         provenance=f"panel_a(n={cfg.n}, alpha=({cfg.alpha1},{cfg.alpha2}), seed={cfg.seed})",
     )
 
@@ -237,7 +222,6 @@ def gen_panel_b(cfg: PanelBConfig) -> Dataset:
     y = d * (y0 + effect) + (1.0 - d) * y0
     return Dataset(
         columns={"X1": x1, "X2": x2, "Z1": z1, "Z2": z2, "D": d, "Y": y},
-        binary=PANEL_B_BINARY,
         provenance=f"panel_b(n={cfg.n}, beta=({cfg.beta1},{cfg.beta2}), seed={cfg.seed})",
     )
 
@@ -338,7 +322,7 @@ def _parse_lines(body: list[str], names: list[str], path: str) -> np.ndarray:
     return values
 
 
-def read_csv(path: str, binary: tuple[str, ...] = ()) -> Dataset:
+def read_csv(path: str) -> Dataset:
     """Read a strictly numeric CSV with a header row into a Dataset.
 
     Blank and whitespace-only lines are skipped.  The header is the
@@ -347,8 +331,7 @@ def read_csv(path: str, binary: tuple[str, ...] = ()) -> Dataset:
     non-blank lines are parsed again, and a failure is scanned row by
     row to name the offending row and cell.  A cell ``loadtxt`` rejects
     but ``float`` accepts (a digit separator such as ``1_0``) is refused
-    with ``loadtxt``'s message.  Each column of ``binary`` that the file
-    has must hold only 0 and 1.
+    with ``loadtxt``'s message.
     """
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:  # an Excel CSV starts with a BOM
@@ -371,5 +354,4 @@ def read_csv(path: str, binary: tuple[str, ...] = ()) -> Dataset:
     except OSError as exc:
         raise SchemaError(f"cannot read {path!r}: {exc}") from None
     arrays = {name: np.ascontiguousarray(values[:, j]) for j, name in enumerate(names)}
-    present_binary = tuple(name for name in binary if name in arrays)
-    return Dataset(columns=arrays, binary=present_binary, provenance=f"csv:{path}")
+    return Dataset(columns=arrays, provenance=f"csv:{path}")

@@ -258,7 +258,8 @@ def parse_config(text: str, keys, overrides: dict | None = None) -> dict:
     """Read config text plus raw-string overrides through a table of keys.
 
     A row of ``keys`` is ``(key, parse, owner, field)``: ``parse(raw)`` becomes
-    keyword ``field`` of the owner tagged ``owner``, which keeps the default.
+    keyword ``field`` of the owner tagged ``owner``, which keeps the default,
+    or, for a field ``(name, item)``, item ``item`` of its dict keyword ``name``.
     A class in ``OWNERS`` is built after each of its keys; if the build from all
     of them fails, the error names the key from which on every build failed.
     Returns ``{owner: {field: value}}``.
@@ -274,9 +275,13 @@ def parse_config(text: str, keys, overrides: dict | None = None) -> dict:
         if key not in kv:
             continue
         try:
-            out[owner][field_name] = parse(kv[key])
+            value = parse(kv[key])
         except (ValueError, GptestError) as exc:
             raise InvalidConfig(f"{key} = {kv[key]!r}: {exc}") from None
+        if isinstance(field_name, tuple):
+            out[owner].setdefault(field_name[0], {})[field_name[1]] = value
+        else:
+            out[owner][field_name] = value
         if owner in OWNERS:
             try:
                 OWNERS[owner](**out[owner])

@@ -1,8 +1,8 @@
 """Built-in regression learners and K-fold cross-fitting.
 
-The learner roster is deliberately small: ordinary least squares for
-continuous targets and iteratively reweighted least squares logistic
-regression for binary ones.  Cross-fitting fits every nuisance model a
+The learner roster is deliberately small: logistic regression by
+iteratively reweighted least squares for a 0/1 column, and ordinary
+least squares for any other.  Cross-fitting fits every nuisance model a
 score needs without the held-out fold and writes its predictions on that
 fold into a per-row array, so each nuisance becomes one array of
 out-of-fold values; the score is then evaluated once on the full sample.
@@ -250,39 +250,36 @@ class _Folds:
 
 
 def _target(data: Dataset, spec: sc.ScoreSpec, role: str):
-    """The column playing ``role`` and its link: logit if declared binary, else identity."""
-    name = spec.column(role)
-    return data.col(name), "logit" if name in data.binary else "identity"
+    """The column playing ``role`` and its link: logit if it holds only 0 and 1, else identity."""
+    col = data.col(spec.column(role))
+    return col, "logit" if np.all((col == 0.0) | (col == 1.0)) else "identity"
 
 
 # Each fitter returns the out-of-fold value of each of its nuisances at every row.
 
 
 def _fit_me(data: Dataset, spec: sc.ScoreSpec, folds: _Folds):
-    y, y_link = _target(data, spec, "y")
-    a = data.col(spec.column("a"))
-    s = data.col(spec.column("s"))
-    (ps1,) = folds.predict(folds.everyone, (s, "logit", "S"))
+    y, a, s = (_target(data, spec, role) for role in ("y", "a", "s"))
+    (ps1,) = folds.predict(folds.everyone, (*s, "S"))
     values = {}
     for sv in (0, 1):
-        in_s = s == sv
-        (pa1,) = folds.predict(in_s, (a, "logit", f"S={sv}"))
+        in_s = s[0] == sv
+        (pa1,) = folds.predict(in_s, (*a, f"S={sv}"))
         ps = ps1 if sv == 1 else 1.0 - ps1
         values[f"pi_s{sv}"] = ps * (pa1 if spec.arm == 1 else 1.0 - pa1)
-        cell = in_s & (a == spec.arm)
-        (values[f"mu_s{sv}"],) = folds.predict(cell, (y, y_link, f"(A={spec.arm},S={sv})"))
+        cell = in_s & (a[0] == spec.arm)
+        (values[f"mu_s{sv}"],) = folds.predict(cell, (*y, f"(A={spec.arm},S={sv})"))
     return values
 
 
 def _fit_iv(data: Dataset, spec: sc.ScoreSpec, folds: _Folds):
-    z = {j: data.col(spec.column(f"z{j}")) for j in (1, 2)}
-    pz1, pz2 = folds.predict(folds.everyone, (z[1], "logit", "Z1"), (z[2], "logit", "Z2"))
+    d, y, z1, z2 = (_target(data, spec, role) for role in ("d", "y", "z1", "z2"))
+    pz1, pz2 = folds.predict(folds.everyone, (*z1, "Z1"), (*z2, "Z2"))
     values = {"pz1": pz1, "pz2": pz2}
-    d, y = _target(data, spec, "d"), _target(data, spec, "y")
-    for j in (1, 2):
+    for j, z in ((1, z1[0]), (2, z2[0])):
         for zv in (0, 1):
             label = f"Z{j}={zv}"
-            mu = folds.predict(z[j] == zv, (*d, label), (*y, label))
+            mu = folds.predict(z == zv, (*d, label), (*y, label))
             values[f"mu_d{j}_{zv}"], values[f"mu_y{j}_{zv}"] = mu
     return values
 
@@ -317,9 +314,10 @@ def crossfit(data: Dataset, spec: sc.ScoreSpec, K: int, rng: RngStream) -> Cross
     """Out-of-fold pseudo-outcomes g(O_i; eta-hat without fold k(i)) for the given score.
 
     In oracle mode the analytic nuisances are evaluated at X and no
-    models are fit.  Both modes refuse non-finite pseudo-outcomes and
-    report the score's clip diagnostics.
+    models are fit.  Both modes check the score's columns first, refuse
+    non-finite pseudo-outcomes and report the score's clip diagnostics.
     """
+    spec.check_columns(data)
     x = data.covariate_matrix(spec.covariates)
     if spec.nuisance_mode == "oracle":
         source, fold_of, eta, diagnostics = "the oracle", None, spec.oracle(x), {}

@@ -44,12 +44,14 @@ class ScoreSpec:
     # oracle mode: covariate matrix -> nuisance bundle, one array per key
     oracle: Callable[[np.ndarray], dict] | None = None
 
-    _DEFAULT_COLUMNS = {
-        "y": "Y", "a": "A", "s": "S", "d": "D",
-        "z1": "Z1", "z2": "Z2", "z": "Z",
+    # each score kind's roles, whose columns default to their names in capitals;
+    # s, a, z1 and z2 hold 0/1 indicators
+    _ROLES = {
+        MEAN_EXCHANGEABILITY: ("y", "s", "a"),
+        IV_COMPATIBILITY: ("y", "d", "z1", "z2"),
+        PARAMETRIC_SPEC: ("y",),
+        CONDITIONAL_COVARIANCE: ("y", "z"),
     }
-    # roles that hold a 0/1 indicator, by score kind
-    _BINARY_ROLES = {MEAN_EXCHANGEABILITY: ("s", "a"), IV_COMPATIBILITY: ("z1", "z2")}
 
     def __post_init__(self):
         if self.kind not in SCORE_KINDS:
@@ -67,16 +69,29 @@ class ScoreSpec:
             )
         if self.arm not in (0, 1):
             raise InvalidInput("arm must be 0 or 1")
+        roles = {self.column(role): role for role in self._ROLES[self.kind]}
         for pos, name in enumerate(self.covariates):
             if name in self.covariates[:pos]:
                 raise InvalidInput(f"covariate {name!r} is listed twice")
+            if name in roles:
+                raise InvalidInput(f"covariate {name!r} is the score's {roles[name]} column")
 
     def column(self, role: str) -> str:
-        return self.columns.get(role, self._DEFAULT_COLUMNS[role])
+        return self.columns.get(role, role.upper())
 
-    def binary_columns(self) -> tuple[str, ...]:
-        """The dataset columns of the score's 0/1 indicator roles."""
-        return tuple(self.column(role) for role in self._BINARY_ROLES.get(self.kind, ()))
+    def check_columns(self, data: Dataset) -> None:
+        """Refuse a constant outcome, and a value other than 0 and 1 in an indicator role."""
+        for role in self._ROLES[self.kind]:
+            name = self.column(role)
+            vals = data.col(name)
+            if role == "y" and vals.size and np.all(vals == vals[0]):
+                raise SchemaError(f"outcome column {name!r} is constant")
+            if role in ("s", "a", "z1", "z2"):
+                bad = (vals != 0.0) & (vals != 1.0)
+                if np.any(bad):
+                    row = int(np.argmax(bad))
+                    value = float(vals[row])
+                    raise SchemaError(f"binary column {name!r} has value {value} at row {row + 1}")
 
 
 def _clip_prob(p, clip):

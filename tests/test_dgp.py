@@ -1,4 +1,3 @@
-import re
 import warnings
 
 import numpy as np
@@ -25,17 +24,6 @@ from mc_reference import panel_b_reference
 
 
 class TestDataset:
-    def test_binary_violation(self):
-        with pytest.raises(SchemaError, match="binary"):
-            Dataset(columns={"A": np.array([0.0, 2.0])}, binary=("A",))
-
-    @pytest.mark.parametrize("bad", [2.0, 0.5])
-    def test_binary_violation_located(self, bad):
-        a = np.array([1.0, 0.0, bad, 0.0])
-        pattern = rf"^binary column 'A' has value {re.escape(str(bad))} at row 3$"
-        with pytest.raises(SchemaError, match=pattern):
-            Dataset(columns={"S": np.zeros(4), "A": a}, binary=("S", "A"))
-
     def test_length_mismatch(self):
         with pytest.raises(SchemaError):
             Dataset(columns={"a": np.zeros(3), "b": np.zeros(4)})
@@ -295,7 +283,7 @@ class TestCsvRoundTrip:
         data = gen_panel_a(PanelAConfig(n=200, seed=12))
         path = tmp_path / "panel_a.csv"
         write_csv(data, str(path))
-        back = read_csv(str(path), binary=("S", "A"))
+        back = read_csv(str(path))
         for name in data.columns:
             assert np.array_equal(data.columns[name], back.columns[name])
 

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from gptest import engine, harness
-from gptest.cli import TEST_KEYS, main
+from gptest.basis import BasisSpec
+from gptest.cli import TEST_KEYS, _empirical_ranges, main
 from gptest.dgp import (
     Dataset, PanelAConfig, PanelBConfig, gen_panel_a, gen_panel_b, read_csv, write_csv,
 )
@@ -108,6 +109,15 @@ class TestConfigParsing:
             sim_config_from_text("sample_sizes = 4\nfolds = 2\n")  # the default basis
         assert sim_config_from_text(text + "methods = wald\n").methods == ("wald",)
         assert sim_config_from_text("sample_sizes = 1000\ncombination = tensor\nj_star = 30\n")
+
+    def test_covariates_checked_against_mapped_columns(self):
+        # the score is built with its *_col keys, so A is a free covariate
+        # once a_col names another column, and that column is not
+        kw = parse_config("a_col = treated\ncovariates = X1, A\n", TEST_KEYS)
+        assert kw["score"] == {"covariates": ("X1", "A"), "columns": {"a": "treated"}}
+        message = "^a_col = 'treated': covariate 'treated' is the score's a column$"
+        with pytest.raises(InvalidConfig, match=message):
+            parse_config("covariates = X1, treated\na_col = treated\n", TEST_KEYS)
 
     def test_readme_key_table_matches_code(self):
         readme = (ROOT / "README.md").read_text()
@@ -331,15 +341,34 @@ class TestCli:
         assert err == f"error: binary column {column!r} has value {value} at row 8\n"
 
     def test_zero_outcome_exits_2(self, capsys, tmp_path):
-        # Y = 0 everywhere: every fit and pseudo-outcome is 0, so Sigma-hat is zero
+        # a constant outcome is refused before any fit: Y = 0 would give a zero
+        # Sigma-hat, Y = 1 a single-class logistic fit, and Y = 3 a p-value
+        # computed from rounding noise
         data = gen_panel_a(PanelAConfig(n=600, seed=41))
-        path = tmp_path / "zero_y.csv"
-        write_csv(Dataset(columns={**data.columns, "Y": np.zeros(data.n)}), str(path))
-        for variant in ("gp_standardized", "gp_unstandardized"):
-            cfg = tmp_path / f"{variant}.cfg"
-            cfg.write_text(f"score = mean_exchangeability\nvariant = {variant}\n")
-            assert main(["test", "--data", str(path), "--config", str(cfg)]) == 2
-            assert capsys.readouterr().err == "error: Sigma-hat is identically zero\n"
+        for value in (0.0, 1.0, 3.0):
+            path = tmp_path / "constant_y.csv"
+            write_csv(Dataset(columns={**data.columns, "Y": np.full(data.n, value)}), str(path))
+            for variant in ("gp_standardized", "gp_unstandardized"):
+                cfg = tmp_path / f"{variant}.cfg"
+                cfg.write_text(f"score = mean_exchangeability\nvariant = {variant}\n")
+                assert main(["test", "--data", str(path), "--config", str(cfg)]) == 2
+                assert capsys.readouterr().err == "error: outcome column 'Y' is constant\n"
+
+    @pytest.mark.parametrize("variant", ["gp_standardized", "gp_unstandardized"])
+    def test_iv_csv_matches_generated_dataset(self, capsys, tmp_path, variant):
+        # a written Panel B dataset gets the same p-value from `gptest test`
+        # as from the library on the generated data: D is fit by IRLS either way
+        data = gen_panel_b(PanelBConfig(n=1500, seed=3))
+        data_path, cfg = tmp_path / "panel_b.csv", tmp_path / "iv.cfg"
+        write_csv(data, str(data_path))
+        cfg.write_text(f"score = iv_compatibility\nvariant = {variant}\nseed = 9\n")
+        assert main(["test", "--data", str(data_path), "--config", str(cfg)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        spec = ScoreSpec(kind="iv_compatibility")
+        ranges = _empirical_ranges(data.covariate_matrix(spec.covariates))
+        expected = engine.run_gp_test(data, spec, BasisSpec(ranges=ranges),
+                                      engine.TestConfig(seed=9), variant=variant)
+        assert payload["p_value"] == expected.p_value
 
     @pytest.mark.parametrize(
         "text, message",
@@ -557,6 +586,8 @@ BAD_TEST_VALUES = [
     ("arm", "arm = x"),
     ("covariates", "covariates ="),
     ("covariates", "covariates = X1, X1"),
+    ("covariates", "covariates = X1, S"),
+    ("covariates", "covariates = X1, Y"),
     ("clip_propensity", "clip_propensity = 0.5"),
     ("clip_denominator", "clip_denominator = 0"),
     ("clip_denominator", "clip_denominator = nan"),

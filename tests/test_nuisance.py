@@ -212,7 +212,6 @@ class TestCrossfit:
                 k: np.where(hold, 999.0, v) if k == "Y" else v.copy()
                 for k, v in data.columns.items()
             },
-            binary=data.binary,
         )
         res2 = crossfit(corrupted, spec, K=3, rng=RngStream(6))
         assert set(res.nuisances) == {"pi_s1", "pi_s0", "mu_s1", "mu_s0"}
@@ -226,7 +225,7 @@ class TestCrossfit:
         # E[Y | X] stops at the coefficient cap; E[Z | X] is least squares
         data = _condcov_null_dataset(500, 18)
         cols = dict(data.columns, Y=(data.col("X1") > 0).astype(float))
-        separated = Dataset(columns=cols, binary=("Y",))
+        separated = Dataset(columns=cols)
         spec = ScoreSpec(kind="conditional_covariance")
         res = crossfit(separated, spec, K=4, rng=RngStream(3))
         assert res.diagnostics == {"K": 4, "nonconverged_fits": 4}
@@ -242,7 +241,7 @@ class TestCrossfit:
         data = gen_panel_a(PanelAConfig(n=200, seed=16))
         cols = {k: v.copy() for k, v in data.columns.items()}
         cols["S"] = np.zeros(200)  # no S=1 rows anywhere
-        broken = Dataset(columns=cols, binary=data.binary)
+        broken = Dataset(columns=cols)
         spec = ScoreSpec(kind="mean_exchangeability")
         with pytest.raises(InsufficientStratum):
             crossfit(broken, spec, K=5, rng=RngStream(0))
@@ -279,7 +278,7 @@ def _per_fold_reference(data, spec, fold_of):
         return data.col(spec.column(role))
 
     def binary(role):
-        return spec.column(role) in data.binary
+        return set(np.unique(col(role))) <= {0.0, 1.0}
 
     eta = {}
     nonconverged = 0
@@ -330,7 +329,7 @@ def _separated_condcov_dataset():
     # Y = 1{X1 > 0} is separated by X1, so every fold's logistic fit stops at the cap
     data = _condcov_null_dataset(500, 18)
     cols = dict(data.columns, Y=(data.col("X1") > 0).astype(float))
-    return Dataset(columns=cols, binary=("Y",))
+    return Dataset(columns=cols)
 
 
 def _one_fold_separated_dataset():
@@ -342,7 +341,16 @@ def _one_fold_separated_dataset():
     fold_of = make_folds(500, 4, RngStream(7))
     coin = (np.random.default_rng(20).random(500) < 0.5).astype(float)
     y = np.where(fold_of == 0, coin, (data.col("X1") > 0).astype(float))
-    return Dataset(columns=dict(data.columns, Y=y), binary=("Y",))
+    return Dataset(columns=dict(data.columns, Y=y))
+
+
+def _binary_z_dataset(z_at_row_0):
+    # Z is a 0/1 coin that leans on X1, so the rule fits E[Z | X] by IRLS;
+    # any other value at row 0 makes it least squares
+    data = _condcov_null_dataset(700, 28)
+    z = (np.random.default_rng(29).random(700) < expit(data.col("X1"))).astype(float)
+    z[0] = z_at_row_0
+    return Dataset(columns=dict(data.columns, Z=z))
 
 
 _REFERENCE_CASES = {
@@ -357,6 +365,8 @@ _REFERENCE_CASES = {
         {"kind": "parametric_spec"}, 5),
     "conditional_covariance_K5": (
         lambda: _condcov_null_dataset(700, 27), {"kind": "conditional_covariance"}, 5),
+    "binary_z_K5": (lambda: _binary_z_dataset(1.0), {"kind": "conditional_covariance"}, 5),
+    "z_with_a_2_K5": (lambda: _binary_z_dataset(2.0), {"kind": "conditional_covariance"}, 5),
     "separated_K4": (_separated_condcov_dataset, {"kind": "conditional_covariance"}, 4),
     "one_fold_separated_K4": (
         _one_fold_separated_dataset, {"kind": "conditional_covariance"}, 4),
@@ -479,7 +489,7 @@ class TestMultiTargetCall:
 
 
 def _with_columns(data, **changes):
-    return Dataset(columns=dict(data.columns, **changes), binary=data.binary)
+    return Dataset(columns=dict(data.columns, **changes))
 
 
 class TestBatchedFailurePaths:
@@ -531,7 +541,7 @@ class TestBatchedFailurePaths:
         fold_of = make_folds(300, 5, RngStream(6))
         k = fold_of[0] if which == "fold_of_row_0" else (fold_of[0] + 1) % 5
         y = (fold_of == k).astype(float)
-        broken = Dataset(columns=dict(data.columns, Y=y), binary=("Y",))
+        broken = Dataset(columns=dict(data.columns, Y=y))
         pattern = rf"training data for fold {k} is single-class in stratum y$"
         with pytest.raises(InsufficientStratum, match=pattern):
             crossfit(broken, ScoreSpec(kind="conditional_covariance"), K=5, rng=RngStream(6))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,9 @@ from gptest.dgp import (
     oracle_nuisances_panel_a,
     oracle_nuisances_panel_b,
 )
-from gptest.errors import InvalidInput
+from gptest.errors import InvalidInput, SchemaError
+from gptest.nuisance import crossfit
+from gptest.numerics import RngStream
 from gptest.scores import (
     ScoreSpec,
     g_conditional_covariance,
@@ -48,6 +52,95 @@ class TestSpecValidation:
             ScoreSpec(nuisance_mode="oracle", oracle={})
 
 
+    @pytest.mark.parametrize(
+        "kind, columns, covariates, role, name",
+        [
+            ("mean_exchangeability", {}, ("X1", "S"), "s", "S"),
+            ("mean_exchangeability", {}, ("X1", "Y"), "y", "Y"),
+            ("mean_exchangeability", {"a": "treated"}, ("treated",), "a", "treated"),
+            ("iv_compatibility", {}, ("D", "X2"), "d", "D"),
+            ("iv_compatibility", {}, ("Z2",), "z2", "Z2"),
+            ("parametric_spec", {"y": "W"}, ("X1", "W"), "y", "W"),
+            ("conditional_covariance", {}, ("X1", "Z"), "z", "Z"),
+        ],
+    )
+    def test_covariate_is_a_role_column(self, kind, columns, covariates, role, name):
+        pattern = rf"^covariate '{name}' is the score's {role} column$"
+        with pytest.raises(InvalidInput, match=pattern):
+            ScoreSpec(kind=kind, columns=columns, covariates=covariates)
+
+    def test_covariate_named_like_another_kinds_role(self):
+        # A is a role of mean exchangeability only, and only under its default name
+        ScoreSpec(kind="iv_compatibility", covariates=("X1", "A", "S"))
+        ScoreSpec(kind="conditional_covariance", covariates=("X1", "D"))
+        ScoreSpec(columns={"a": "treated"}, covariates=("X1", "A"))
+
+
+def _me_columns(n, **changes):
+    rng = np.random.default_rng(1)
+    columns = {
+        "X1": rng.uniform(-1, 1, n), "X2": rng.uniform(-1, 1, n),
+        "S": (rng.random(n) < 0.5).astype(float), "A": (rng.random(n) < 0.5).astype(float),
+        "Y": rng.standard_normal(n),
+    }
+    return Dataset(columns={**columns, **changes})
+
+
+class TestCheckColumns:
+    def test_binary_violation(self):
+        data = Dataset(columns={"S": np.zeros(2), "A": np.array([0.0, 2.0]), "Y": np.arange(2.0)})
+        with pytest.raises(SchemaError, match="binary"):
+            ScoreSpec().check_columns(data)
+
+    @pytest.mark.parametrize("bad", [2.0, 0.5])
+    def test_binary_violation_located(self, bad):
+        a = np.array([1.0, 0.0, bad, 0.0])
+        pattern = rf"^binary column 'A' has value {re.escape(str(bad))} at row 3$"
+        with pytest.raises(SchemaError, match=pattern):
+            ScoreSpec().check_columns(Dataset(columns={"S": np.zeros(4), "A": a, "Y": a}))
+
+    def test_indicators_checked_in_role_order(self):
+        # S precedes A for mean exchangeability, Z1 precedes Z2 for IV
+        bad = np.array([0.0, 1.0, 3.0])
+        data = Dataset(columns={"S": bad, "A": bad, "Z1": bad, "Z2": bad, "Y": bad, "D": bad})
+        with pytest.raises(SchemaError, match="^binary column 'S' "):
+            ScoreSpec().check_columns(data)
+        with pytest.raises(SchemaError, match="^binary column 'Z1' "):
+            ScoreSpec(kind="iv_compatibility").check_columns(data)
+
+    def test_non_indicator_roles_unchecked(self):
+        # D, Z and the outcome may hold any values
+        data = Dataset(columns={"Y": np.array([0.5, 2.0]), "D": np.array([0.5, 2.0]),
+                                "Z": np.array([3.0, -1.0]), "Z1": np.array([0.0, 1.0]),
+                                "Z2": np.array([1.0, 0.0])})
+        for kind in ("iv_compatibility", "parametric_spec", "conditional_covariance"):
+            ScoreSpec(kind=kind).check_columns(data)
+
+    @pytest.mark.parametrize(
+        "kind", ["mean_exchangeability", "iv_compatibility", "parametric_spec",
+                 "conditional_covariance"],
+    )
+    @pytest.mark.parametrize("value", [0.0, 1.0, 3.0])
+    def test_constant_outcome_refused(self, kind, value):
+        columns = {name: np.array([0.0, 1.0, 1.0]) for name in ("S", "A", "D", "Z1", "Z2", "Z")}
+        data = Dataset(columns={**columns, "W": np.full(3, value)})
+        with pytest.raises(SchemaError, match="^outcome column 'W' is constant$"):
+            ScoreSpec(kind=kind, columns={"y": "W"}).check_columns(data)
+
+    @pytest.mark.parametrize("mode", ["crossfit", "oracle"])
+    def test_crossfit_checks_first(self, mode):
+        # the check runs before any fit, and before the oracle is called
+        def oracle(x):
+            raise AssertionError("oracle called")
+
+        spec = ScoreSpec(nuisance_mode=mode, oracle=oracle)
+        with pytest.raises(SchemaError, match="^binary column 'S' has value 2.0 at row 5$"):
+            crossfit(_me_columns(200, S=np.where(np.arange(200) == 4, 2.0, 0.0)), spec, 5,
+                     RngStream(0))
+        with pytest.raises(SchemaError, match="^outcome column 'Y' is constant$"):
+            crossfit(_me_columns(200, Y=np.ones(200)), spec, 5, RngStream(0))
+
+
 class TestMeanExchangeability:
     def test_constant_world_vanishes(self):
         n = 40
@@ -60,7 +153,6 @@ class TestMeanExchangeability:
                 "A": (rng.random(n) < 0.5).astype(float),
                 "Y": np.full(n, 2.5),
             },
-            binary=("S", "A"),
         )
         bundle = {
             "pi_s1": const(n, 0.25), "pi_s0": const(n, 0.25),
@@ -76,7 +168,6 @@ class TestMeanExchangeability:
                 "S": np.array([1.0]), "A": np.array([1.0]),
                 "Y": np.array([9.0]),
             },
-            binary=("S", "A"),
         )
         bundle = {
             "pi_s1": const(1, 0.3), "pi_s0": const(1, 0.3),
@@ -126,7 +217,6 @@ class TestIvScores:
         y = x1 + rng.standard_normal(n)  # independent of Z1 given X
         return Dataset(
             columns={"X1": x1, "X2": x2, "Z1": z1, "Z2": z1, "D": z1, "Y": y},
-            binary=("Z1", "Z2", "D"),
         )
 
     def _perfect_compliance_bundle(self, data):
