@@ -69,7 +69,14 @@ class ScoreSpec:
             )
         if self.arm not in (0, 1):
             raise InvalidInput("arm must be 0 or 1")
-        roles = {self.column(role): role for role in self._ROLES[self.kind]}
+        roles = {}
+        for role in self._ROLES[self.kind]:
+            name = self.column(role)
+            if name in roles:
+                raise InvalidInput(
+                    f"column {name!r} is both the score's {roles[name]} and {role} column"
+                )
+            roles[name] = role
         for pos, name in enumerate(self.covariates):
             if name in self.covariates[:pos]:
                 raise InvalidInput(f"covariate {name!r} is listed twice")
@@ -80,18 +87,21 @@ class ScoreSpec:
         return self.columns.get(role, role.upper())
 
     def check_columns(self, data: Dataset) -> None:
-        """Refuse a constant outcome, and a value other than 0 and 1 in an indicator role."""
+        """Refuse, role by role, a value other than 0 and 1 in an indicator
+        role and then a column that holds one value in every row."""
         for role in self._ROLES[self.kind]:
             name = self.column(role)
             vals = data.col(name)
-            if role == "y" and vals.size and np.all(vals == vals[0]):
-                raise SchemaError(f"outcome column {name!r} is constant")
             if role in ("s", "a", "z1", "z2"):
                 bad = (vals != 0.0) & (vals != 1.0)
-                if np.any(bad):
+                if bad.any():
                     row = int(np.argmax(bad))
                     value = float(vals[row])
                     raise SchemaError(f"binary column {name!r} has value {value} at row {row + 1}")
+            if vals.size and (vals == vals[0]).all():
+                if role == "y":
+                    raise SchemaError(f"outcome column {name!r} is constant")
+                raise SchemaError(f"column {name!r} (the score's {role} role) is constant")
 
 
 def _clip_prob(p, clip):

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -300,12 +301,34 @@ class TestCsvRoundTrip:
         assert read_csv(str(path)).col("X").tobytes() == x.tobytes()
 
     def test_write_matches_per_cell_format(self, tmp_path):
-        data = gen_panel_b(PanelBConfig(n=300, seed=13))
-        data.columns["E"] = np.array([-0.0, 5e-324, 1.7976931348623157e308, 0.1] * 75)
-        path, ref = tmp_path / "fast.csv", tmp_path / "ref.csv"
-        write_csv(data, str(path))
-        _reference_write_csv(data, str(ref))
-        assert path.read_bytes() == ref.read_bytes()
+        # row counts at and around the write block's 1,024 rows; a loop,
+        # not a parametrization, so that the test id stays
+        full = gen_panel_b(PanelBConfig(n=3000, seed=13))
+        full.columns["E"] = np.resize([-0.0, 5e-324, 1.7976931348623157e308, 0.1], 3000)
+        for n in (0, 1, 1023, 1024, 1025, 3000):
+            data = Dataset(columns={k: v[:n] for k, v in full.columns.items()})
+            path, ref = tmp_path / f"fast{n}.csv", tmp_path / f"ref{n}.csv"
+            write_csv(data, str(path))
+            _reference_write_csv(data, str(ref))
+            assert path.read_bytes() == ref.read_bytes(), n
+
+    def test_zero_rows_round_trip(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        write_csv(Dataset(columns={"X1": np.empty(0), "Y": np.empty(0)}), str(path))
+        assert path.read_bytes() == b"X1,Y\n"
+        back = read_csv(str(path))
+        assert list(back.columns) == ["X1", "Y"] and back.n == 0
+
+    def test_write_memory_is_flat(self, tmp_path):
+        # the writer holds one block of text at a time, not the whole file
+        data = gen_panel_a(PanelAConfig(n=200_000, seed=12))
+        tracemalloc.start()
+        try:
+            write_csv(data, str(tmp_path / "big.csv"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_columns_c_contiguous(self, tmp_path):
         path = tmp_path / "c.csv"

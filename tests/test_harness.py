@@ -592,6 +592,8 @@ BAD_TEST_VALUES = [
     ("clip_denominator", "clip_denominator = 0"),
     ("clip_denominator", "clip_denominator = nan"),
     *((f"{role}_col", f"{role}_col =") for role in ("y", "a", "s", "d", "z1", "z2", "z")),
+    ("a_col", "a_col = S"),
+    ("d_col", "score = iv_compatibility\nd_col = Z1"),
     ("variant", "variant = anova"),
     ("folds", "folds = 2.5"),
     ("folds", "folds = 1"),

@@ -13,7 +13,7 @@ from gptest.dgp import (
 from gptest import nuisance, scores
 from gptest.engine import TestConfig as EngineConfig, run_gp_test
 from gptest.basis import BasisSpec
-from gptest.errors import InsufficientStratum, InvalidInput, SingularDesign
+from gptest.errors import InsufficientStratum, InvalidInput, SchemaError, SingularDesign
 from gptest.nuisance import crossfit, make_folds, with_intercept
 from gptest.numerics import RngStream
 from gptest.scores import ScoreSpec, clip_diagnostics
@@ -243,7 +243,7 @@ class TestCrossfit:
         cols["S"] = np.zeros(200)  # no S=1 rows anywhere
         broken = Dataset(columns=cols)
         spec = ScoreSpec(kind="mean_exchangeability")
-        with pytest.raises(InsufficientStratum):
+        with pytest.raises(SchemaError, match=r"^column 'S' \(the score's s role\) is constant$"):
             crossfit(broken, spec, K=5, rng=RngStream(0))
 
     def test_me_crossfit_matches_oracle_direction(self):
@@ -507,25 +507,26 @@ class TestBatchedFailurePaths:
     def test_single_class_everywhere(self):
         data = gen_panel_b(PanelBConfig(n=600, seed=32))
         broken = _with_columns(data, Z1=np.ones(600))
-        with pytest.raises(InsufficientStratum, match=r"fold 0 is single-class in stratum Z1$"):
+        with pytest.raises(SchemaError, match=r"^column 'Z1' \(the score's z1 role\) is constant$"):
             crossfit(broken, ScoreSpec(kind="iv_compatibility"), K=5, rng=RngStream(5))
 
     def test_single_class_second_target_named(self):
-        # Z1 and Z2 share one set-up of every row; the failing fit is Z2's
+        # the score's roles are checked in order, so the constant Z2 is named
         data = gen_panel_b(PanelBConfig(n=600, seed=32))
         broken = _with_columns(data, Z2=np.ones(600))
-        with pytest.raises(InsufficientStratum, match=r"fold 0 is single-class in stratum Z2$"):
+        with pytest.raises(SchemaError, match=r"^column 'Z2' \(the score's z2 role\) is constant$"):
             crossfit(broken, ScoreSpec(kind="iv_compatibility"), K=5, rng=RngStream(5))
 
     def test_every_row_stratum_checked_before_the_arms(self):
         # Z1 = 0 on four rows in folds 1-4, so fold 1 trains the Z1=0 arm on
-        # 3 rows, and Z2 is single-class; both instruments' propensities are
-        # fit before any arm, so the Z2 failure is the one reported
+        # 3 rows, and Z2 = 1 only on fold 0's rows, so fold 0 trains Z2's
+        # propensity on one class; both instruments' propensities are fit
+        # before any arm, so the Z2 failure is the one reported
         data = gen_panel_b(PanelBConfig(n=600, seed=32))
         fold_of = make_folds(600, 5, RngStream(5))
         z1 = np.ones(600)
         z1[[int(np.flatnonzero(fold_of == k)[0]) for k in (1, 2, 3, 4)]] = 0.0
-        broken = _with_columns(data, Z1=z1, Z2=np.ones(600))
+        broken = _with_columns(data, Z1=z1, Z2=(fold_of == 0).astype(float))
         with pytest.raises(InsufficientStratum, match=r"fold 0 is single-class in stratum Z2$"):
             crossfit(broken, ScoreSpec(kind="iv_compatibility"), K=5, rng=RngStream(5))
         only_z1 = _with_columns(data, Z1=z1)

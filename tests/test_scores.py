@@ -75,6 +75,27 @@ class TestSpecValidation:
         ScoreSpec(kind="conditional_covariance", covariates=("X1", "D"))
         ScoreSpec(columns={"a": "treated"}, covariates=("X1", "A"))
 
+    @pytest.mark.parametrize(
+        "kind, columns, message",
+        [
+            ("mean_exchangeability", {"a": "S"}, "column 'S' is both the score's s and a column"),
+            ("mean_exchangeability", {"a": "S", "y": "A"},
+             "column 'S' is both the score's s and a column"),
+            ("mean_exchangeability", {"y": "W", "s": "W"},
+             "column 'W' is both the score's y and s column"),
+            ("iv_compatibility", {"d": "Z1"}, "column 'Z1' is both the score's d and z1 column"),
+            ("iv_compatibility", {"z2": "Z1"}, "column 'Z1' is both the score's z1 and z2 column"),
+            ("conditional_covariance", {"z": "Y"}, "column 'Y' is both the score's y and z column"),
+        ],
+    )
+    def test_two_roles_on_one_column(self, kind, columns, message):
+        with pytest.raises(InvalidInput, match=rf"^{re.escape(message)}$"):
+            ScoreSpec(kind=kind, columns=columns)
+
+    def test_roles_swapped_between_columns(self):
+        # each role still has a column of its own
+        ScoreSpec(columns={"s": "A", "a": "S"})
+
 
 def _me_columns(n, **changes):
     rng = np.random.default_rng(1)
@@ -88,7 +109,8 @@ def _me_columns(n, **changes):
 
 class TestCheckColumns:
     def test_binary_violation(self):
-        data = Dataset(columns={"S": np.zeros(2), "A": np.array([0.0, 2.0]), "Y": np.arange(2.0)})
+        data = Dataset(columns={"S": np.array([1.0, 0.0]), "A": np.array([0.0, 2.0]),
+                                "Y": np.arange(2.0)})
         with pytest.raises(SchemaError, match="binary"):
             ScoreSpec().check_columns(data)
 
@@ -97,7 +119,8 @@ class TestCheckColumns:
         a = np.array([1.0, 0.0, bad, 0.0])
         pattern = rf"^binary column 'A' has value {re.escape(str(bad))} at row 3$"
         with pytest.raises(SchemaError, match=pattern):
-            ScoreSpec().check_columns(Dataset(columns={"S": np.zeros(4), "A": a, "Y": a}))
+            ScoreSpec().check_columns(Dataset(columns={"S": np.array([0.0, 1.0, 0.0, 1.0]),
+                                                       "A": a, "Y": a}))
 
     def test_indicators_checked_in_role_order(self):
         # S precedes A for mean exchangeability, Z1 precedes Z2 for IV
@@ -126,6 +149,26 @@ class TestCheckColumns:
         data = Dataset(columns={**columns, "W": np.full(3, value)})
         with pytest.raises(SchemaError, match="^outcome column 'W' is constant$"):
             ScoreSpec(kind=kind, columns={"y": "W"}).check_columns(data)
+
+    @pytest.mark.parametrize(
+        "kind, role",
+        [("mean_exchangeability", "s"), ("mean_exchangeability", "a"),
+         ("iv_compatibility", "d"), ("iv_compatibility", "z1"), ("iv_compatibility", "z2"),
+         ("conditional_covariance", "z")],
+    )
+    @pytest.mark.parametrize("value", [0.0, 1.0])
+    def test_constant_role_refused(self, kind, role, value):
+        columns = {name: np.array([0.0, 1.0, 1.0]) for name in ("S", "A", "D", "Z1", "Z2", "Z")}
+        data = Dataset(columns={**columns, "Y": np.arange(3.0), "W": np.full(3, value)})
+        pattern = rf"^column 'W' \(the score's {role} role\) is constant$"
+        with pytest.raises(SchemaError, match=pattern):
+            ScoreSpec(kind=kind, columns={role: "W"}).check_columns(data)
+
+    def test_indicator_values_checked_before_constancy(self):
+        data = Dataset(columns={"S": np.full(3, 2.0), "A": np.array([0.0, 1.0, 1.0]),
+                                "Y": np.arange(3.0)})
+        with pytest.raises(SchemaError, match="^binary column 'S' has value 2.0 at row 1$"):
+            ScoreSpec().check_columns(data)
 
     @pytest.mark.parametrize("mode", ["crossfit", "oracle"])
     def test_crossfit_checks_first(self, mode):
