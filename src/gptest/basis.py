@@ -8,11 +8,11 @@ rescaled to [-1, 1] before evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInput, OutOfRange, Unsupported
+from .errors import InvalidInput, OutOfRange
 
 LEGENDRE = "legendre"
 FOURIER = "fourier"
@@ -45,6 +45,8 @@ class BasisSpec:
             raise InvalidInput(f"unknown combination {self.combination!r}")
         if self.j_star < 1:
             raise InvalidInput("j_star must be >= 1")
+        if not self.ranges:
+            raise InvalidInput("a basis needs at least one covariate range")
         for lo, hi in self.ranges:
             if not lo < hi:
                 raise InvalidInput(f"bad covariate range ({lo}, {hi})")
@@ -159,56 +161,38 @@ def build_design(x_matrix, spec: BasisSpec) -> DesignMatrix:
     return DesignMatrix(values=values, spec=spec)
 
 
-def restrict(design: DesignMatrix, j_star: int) -> DesignMatrix:
-    """The design of a smaller J* as a column selection of ``design``.
+def nested_columns(spec: BasisSpec, j_star: int) -> np.ndarray:
+    """Indices of the columns of ``spec``'s design that are, in order and
+    bit for bit, the design of J* = ``j_star`` <= ``spec.j_star``.
 
-    Both families are nested in J*: additive keeps the constant column
-    and the first J*-1 columns of each covariate's block, tensor keeps
-    the degree tuples below J*.  The columns are the ones
-    ``build_design`` would compute for the smaller spec, bit for bit,
-    and are copied to C order so products with them sum in the same
-    order as with a directly built design.  At the design's own J* the
-    design itself is returned.
+    Additive keeps the constant column and the first J*-1 columns of
+    each covariate's block, tensor keeps the degree tuples below J*.  So
+    the projection and Sigma-hat of a nest's largest J* hold those of
+    every smaller J* as a sub-vector and a principal sub-block.
     """
-    spec = design.spec
     if not 1 <= j_star <= spec.j_star:
-        raise InvalidInput(f"cannot restrict a J*={spec.j_star} design to J*={j_star}")
-    if j_star == spec.j_star:
-        return design
+        raise InvalidInput(f"cannot restrict a J*={spec.j_star} basis to J*={j_star}")
     big = spec.j_star
     if spec.combination == ADDITIVE:
-        columns = [0] + [1 + k * (big - 1) + t for k in range(spec.dim) for t in range(j_star - 1)]
-    else:
-        degrees = np.indices((j_star,) * spec.dim).reshape(spec.dim, -1)
-        columns = np.ravel_multi_index(degrees, (big,) * spec.dim)
-    values = np.ascontiguousarray(design.values[:, columns])
-    return DesignMatrix(values=values, spec=replace(spec, j_star=j_star))
+        blocks = [1 + k * (big - 1) + t for k in range(spec.dim) for t in range(j_star - 1)]
+        return np.array([0] + blocks)
+    degrees = np.indices((j_star,) * spec.dim).reshape(spec.dim, -1)
+    return np.ravel_multi_index(degrees, (big,) * spec.dim)
 
 
 def basis_bound_diagnostics(spec: BasisSpec, grid_points: int = 1001):
-    """Grid-search estimates of sup |b_j| and sup ||B_n(x)||_2.
+    """Grid-search estimates of sup |b_j| and sup ||B_n(x)||_2, read off
+    one axis's grid for any number of covariates d.
 
-    Reported for diagnostics only.  Tensor combination is limited to
-    d <= 3 to keep the grid tractable; additive mode scans each axis
-    coordinate-wise (the additive sup decomposes across axes).
+    Reported for diagnostics only.  An additive ||B||^2 is 1 plus each
+    axis's sum of non-constant b_j^2.  A tensor column is a product of
+    per-axis functions, so its sup |b| is (axis max of |b_j|)^d and its
+    sup ||B||^2 is (axis max of sum_j b_j^2)^d.
     """
     grid = np.linspace(-1.0, 1.0, grid_points)
+    vals = _axis_design(spec.family, grid, spec.j_star)
+    sup_b = np.max(np.abs(vals))
     if spec.combination == ADDITIVE:
-        vals = _axis_design(spec.family, grid, spec.j_star)
-        xi_hat = float(np.max(np.abs(vals)))
         omega_hat = float(np.sqrt(1.0 + spec.dim * np.max(np.sum(vals[:, 1:] ** 2, axis=1))))
-        return xi_hat, omega_hat
-    if spec.dim > 3:
-        raise Unsupported("tensor-product grid diagnostics limited to d <= 3")
-    axes = [grid] * spec.dim
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, spec.dim)
-    unit_spec = BasisSpec(
-        family=spec.family,
-        j_star=spec.j_star,
-        combination=spec.combination,
-        ranges=tuple(((-1.0, 1.0),) * spec.dim),
-    )
-    design = build_design(mesh, unit_spec).values
-    xi_hat = float(np.max(np.abs(design)))
-    omega_hat = float(np.max(np.linalg.norm(design, axis=1)))
-    return xi_hat, omega_hat
+        return float(sup_b), omega_hat
+    return float(sup_b ** spec.dim), float(np.sqrt(np.max(np.sum(vals**2, axis=1)) ** spec.dim))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import BasisSpec, DesignMatrix, build_design, restrict
+from .basis import BasisSpec, DesignMatrix, build_design, nested_columns
 from .errors import DegenerateScale, InvalidInput
 from .dgp import Dataset
 from .nuisance import crossfit, with_intercept
@@ -100,21 +100,18 @@ def sigma_hat(design: DesignMatrix, g: np.ndarray) -> np.ndarray:
     return weighted.T @ weighted / design.n
 
 
-def _statistic_and_scale(design: DesignMatrix, g):
-    """S, Sigma-hat, and its trace and Frobenius norm, shared by both GP
-    variants; an identically zero Sigma-hat (every pseudo-outcome 0) has
-    no scale to calibrate against."""
-    a = projection_vector(design, g)
-    s = statistic(a, design.n)
-    sig = sigma_hat(design, g)
+def _scale(a: np.ndarray, sig: np.ndarray, n: int):
+    """J, S, Sigma-hat, and its trace and Frobenius norm, shared by both
+    GP variants; an identically zero Sigma-hat (every pseudo-outcome 0)
+    has no scale to calibrate against."""
     gamma = float(np.linalg.norm(sig))
     if gamma == 0.0:
         raise DegenerateScale("Sigma-hat is identically zero")
-    return s, sig, float(np.trace(sig)), gamma
+    return a.size, statistic(a, n), sig, float(np.trace(sig)), gamma
 
 
-def _mixture_calibrated(J: int, scale, config: TestConfig) -> TestResult:
-    s, sig, rho, gamma = scale
+def _mixture_calibrated(scale, config: TestConfig) -> TestResult:
+    J, s, sig, rho, gamma = scale
     taus = sym_eigen(sig).values
     p = chisq_mixture_sf(taus, s)
     return TestResult(
@@ -129,8 +126,8 @@ def _mixture_calibrated(J: int, scale, config: TestConfig) -> TestResult:
     )
 
 
-def _normal_calibrated(J: int, scale, config: TestConfig) -> TestResult:
-    s, _, rho, gamma = scale
+def _normal_calibrated(scale, config: TestConfig) -> TestResult:
+    J, s, _, rho, gamma = scale
     t = (s - rho) / (np.sqrt(2.0) * gamma)
     p = normal_cdf(-t)  # the upper tail without the cancellation of 1 - cdf(t)
     return TestResult(
@@ -154,7 +151,8 @@ def gp_test_unstandardized(design: DesignMatrix, g, config: TestConfig) -> TestR
     The p-value is the exact mixture tail over the eigenvalues of
     Sigma-hat, so it needs no random draws.
     """
-    return _mixture_calibrated(design.J, _statistic_and_scale(design, g), config)
+    scale = _scale(projection_vector(design, g), sigma_hat(design, g), design.n)
+    return _mixture_calibrated(scale, config)
 
 
 def gp_test_standardized(design: DesignMatrix, g, config: TestConfig) -> TestResult:
@@ -163,7 +161,8 @@ def gp_test_standardized(design: DesignMatrix, g, config: TestConfig) -> TestRes
     T = (S - trace Sigma) / (sqrt(2) ||Sigma||_F); rejects one-sided when
     T exceeds the upper-alpha normal quantile.
     """
-    return _normal_calibrated(design.J, _statistic_and_scale(design, g), config)
+    scale = _scale(projection_vector(design, g), sigma_hat(design, g), design.n)
+    return _normal_calibrated(scale, config)
 
 
 def wald_projection_test(x_features, g, alpha: float = 0.05) -> TestResult:
@@ -215,19 +214,26 @@ def run_gp_test(
     return run_gp_tests(data, score, (basis_spec,), config, (variant,), K, rng)[0][0]
 
 
-def _designs(x: np.ndarray, basis_specs) -> list[DesignMatrix]:
-    """The design of every spec, in order.  Specs that differ only in J*
-    are nested: their design is built once, at their largest J*, and
-    restricted to each smaller one."""
-    def nest(spec):
-        return spec.family, spec.combination, spec.ranges
-
-    largest = {nest(spec): spec for spec in sorted(basis_specs, key=lambda spec: spec.j_star)}
-    built = {key: build_design(x, spec) for key, spec in largest.items()}
-    designs = [restrict(built[nest(spec)], spec.j_star) for spec in basis_specs]
-    for design in designs:
-        check_basis_columns(design.J, design.n)
-    return designs
+def _nested_scales(x: np.ndarray, g: np.ndarray, basis_specs) -> list:
+    """The scale of every spec, in order.  Specs that differ only in J*
+    form a nest: its design, projection and Sigma-hat are computed once,
+    at its largest J*, and each smaller J* takes its columns' sub-vector
+    and principal sub-block."""
+    moments = {}  # by nest: its largest spec, projection and Sigma-hat
+    for spec in sorted(basis_specs, key=lambda spec: -spec.j_star):
+        nest = spec.family, spec.combination, spec.ranges
+        if nest not in moments:
+            check_basis_columns(spec.n_columns, x.shape[0])
+            design = build_design(x, spec)
+            moments[nest] = spec, projection_vector(design, g), sigma_hat(design, g)
+    scales = []
+    for spec in basis_specs:
+        big, a, sig = moments[spec.family, spec.combination, spec.ranges]
+        if spec.j_star < big.j_star:
+            cols = nested_columns(big, spec.j_star)
+            a, sig = a[cols], sig[np.ix_(cols, cols)]
+        scales.append(_scale(a, sig, x.shape[0]))
+    return scales
 
 
 def run_gp_tests(
@@ -242,11 +248,12 @@ def run_gp_tests(
     """Cross-fit the score once and run every variant on every basis.
 
     ``results[v][b]`` is ``variants[v]`` on ``basis_specs[b]``, all on the
-    same pseudo-outcomes.  Specs that differ only in J* share one design,
-    built at their largest J*, and each design's statistic and Sigma-hat
-    are computed once for both GP variants.  The Wald test uses no
-    basis: it runs once and its result object stands in every column of
-    its row.
+    same pseudo-outcomes.  Specs that differ only in J* form a nest with
+    one design, one projection and one Sigma-hat, computed at its largest
+    J*; a smaller J* takes their sub-vector and principal sub-block.  Each
+    spec's S, trace and Frobenius norm serve both GP variants.  The Wald
+    test uses no basis: it runs once and its result object stands in
+    every column of its row.
     """
     for variant in variants:
         if variant not in METHODS:
@@ -258,15 +265,14 @@ def run_gp_tests(
     x = data.covariate_matrix(score.covariates)
     scales = []
     if any(variant != WALD_PROJECTION for variant in variants):
-        designs = _designs(x, basis_specs)
-        scales = [(design.J, _statistic_and_scale(design, g)) for design in designs]
+        scales = _nested_scales(x, g, basis_specs)
     results = []
     for variant in variants:
         if variant == WALD_PROJECTION:
             wald = wald_projection_test(with_intercept(x), g, alpha=config.alpha)
             row = [wald] * len(basis_specs)
         else:
-            row = [_CALIBRATIONS[variant](J, scale, config) for J, scale in scales]
+            row = [_CALIBRATIONS[variant](scale, config) for scale in scales]
         for result in row:
             result.diagnostics.update(fit.diagnostics)
         results.append(row)

@@ -31,7 +31,3 @@ class InsufficientStratum(GptestError):
 
 class OutOfRange(GptestError):
     pass
-
-
-class Unsupported(GptestError):
-    pass

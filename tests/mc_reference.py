@@ -6,7 +6,9 @@ calibrates with the exact tail, and nothing in the package draws
 chi-square variates, so the sampler lives here.  ``irls_reference`` is
 the batched logistic Newton loop in its plain form, every step computed
 from the current coefficients.  ``basis_reference`` evaluates one basis
-function without the recurrence and the helpers of ``gptest.basis``.
+function without the recurrence and the helpers of ``gptest.basis``,
+and ``tensor_bounds_reference`` takes a tensor basis's sups over every
+point of a d-dimensional mesh.
 ``panel_b_reference`` draws a Panel B sample with a softmax of the
 stratum weights on every row, without the helpers of ``gptest.dgp``.
 """
@@ -97,6 +99,20 @@ def basis_reference(family: str, j: int, z):
         return np.ones_like(z)
     k = (j + 1) // 2
     return np.sqrt(2.0) * (np.cos if j % 2 == 1 else np.sin)(k * np.pi * z)
+
+
+def tensor_bounds_reference(family: str, j_star: int, d: int, grid_points: int):
+    """sup |b| and sup ||B||_2 of the tensor basis of ``j_star`` functions per
+    axis on [-1, 1]^d: every column evaluated at every point of the mesh of
+    ``grid_points`` evenly spaced values per axis."""
+    grid = np.linspace(-1.0, 1.0, grid_points)
+    axis = np.column_stack([basis_reference(family, j, grid) for j in range(j_star)])
+    points = np.indices((grid_points,) * d).reshape(d, -1)
+    degrees = np.indices((j_star,) * d).reshape(d, -1)
+    columns = np.ones((points.shape[1], degrees.shape[1]))
+    for k in range(d):
+        columns *= axis[points[k]][:, degrees[k]]
+    return np.abs(columns).max(), np.linalg.norm(columns, axis=1).max()
 
 
 def panel_b_reference(n: int, beta1: float, beta2: float, seed: int, u_sd: float):

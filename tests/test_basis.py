@@ -10,10 +10,10 @@ from gptest.basis import (
     BasisSpec,
     basis_bound_diagnostics,
     build_design,
-    restrict,
+    nested_columns,
 )
 from gptest.errors import InvalidInput, OutOfRange
-from mc_reference import basis_reference
+from mc_reference import basis_reference, tensor_bounds_reference
 
 
 def axis_values(family, j_star, x):
@@ -199,6 +199,16 @@ class TestBoundDiagnostics:
         xi, omega = basis_bound_diagnostics(BasisSpec(j_star=1))
         assert xi == 1.0 and omega == 1.0
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("family", ["legendre", "fourier"])
+    def test_tensor_equals_mesh_reference(self, family, d):
+        # the one-axis closed form against every column on the full d-dimensional mesh
+        for j_star in range(1, 6):
+            spec = BasisSpec(family, j_star, TENSOR, ((-1.0, 1.0),) * d)
+            got = basis_bound_diagnostics(spec, grid_points=21)
+            want = tensor_bounds_reference(family, j_star, d, grid_points=21)
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
 
 class TestRestrict:
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -210,17 +220,13 @@ class TestRestrict:
         x = np.column_stack([rng.uniform(lo, hi, size=60) for lo, hi in ranges])
         for big in range(2, 7):
             spec = BasisSpec(family=family, j_star=big, combination=combination, ranges=ranges)
-            design = build_design(x, spec)
-            assert restrict(design, big) is design
+            values = build_design(x, spec).values
+            assert np.array_equal(nested_columns(spec, big), np.arange(spec.n_columns))
             for j_star in range(1, big):
-                small = restrict(design, j_star)
-                direct = build_design(x, BasisSpec(family, j_star, combination, ranges))
-                assert small.spec == direct.spec
-                assert small.values.flags.c_contiguous
-                assert small.values.tobytes() == direct.values.tobytes()
+                direct = build_design(x, BasisSpec(family, j_star, combination, ranges)).values
+                assert values[:, nested_columns(spec, j_star)].tobytes() == direct.tobytes()
 
     @pytest.mark.parametrize("j_star", [0, 5])
     def test_only_smaller_positive_j_star(self, j_star):
-        design = build_design(np.zeros((4, 2)), BasisSpec(j_star=4))
         with pytest.raises(InvalidInput, match="cannot restrict"):
-            restrict(design, j_star)
+            nested_columns(BasisSpec(j_star=4), j_star)

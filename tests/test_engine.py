@@ -5,7 +5,7 @@ import pytest
 
 from gptest import engine
 
-from gptest.basis import BasisSpec, DesignMatrix, build_design, restrict
+from gptest.basis import BasisSpec, DesignMatrix, build_design, nested_columns
 from gptest.dgp import (
     PanelAConfig,
     PanelBConfig,
@@ -39,6 +39,23 @@ UNIT_SPEC = BasisSpec(j_star=3)
 
 def design_from(values):
     return DesignMatrix(values=np.asarray(values, dtype=float), spec=UNIT_SPEC)
+
+
+def assert_nested_equal(result, alone, largest):
+    """``result`` is a J* of a nest run with ``run_gp_tests``, ``alone`` the
+    same test on a directly built design.  The nest's largest J* matches
+    exactly; a smaller one reads its S and Sigma-hat off the largest's
+    projection and Sigma-hat, so its values match to rounding."""
+    if largest:
+        assert result.to_dict() == alone.to_dict()
+        return
+    assert (result.method, result.J, result.reject) == (alone.method, alone.J, alone.reject)
+    assert result.diagnostics == alone.diagnostics
+    for name in ("statistic", "p_value", "rho_hat", "gamma_hat", "tau_hat"):
+        got, want = getattr(result, name), getattr(alone, name)
+        assert (got is None) == (want is None)
+        if want is not None:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 class TestConfigValidation:
@@ -370,6 +387,7 @@ class TestRunGpTest:
         data, score = gen_panel_a(PanelAConfig(n=400, seed=61)), ScoreSpec()
         specs = (BasisSpec(j_star=3), BasisSpec(j_star=5),
                  BasisSpec(j_star=2, combination="tensor"))
+        largest = (False, True, True)  # J* = 3 is nested in J* = 5
         variants = (GP_STANDARDIZED, "wald", GP_UNSTANDARDIZED)
         cfg = EngineConfig(seed=5)
         results = run_gp_tests(data, score, specs, cfg, variants, K=4, rng=RngStream(8))
@@ -377,7 +395,7 @@ class TestRunGpTest:
         for v, variant in enumerate(variants):
             for b, spec in enumerate(specs):
                 alone = run_gp_test(data, score, spec, cfg, variant, K=4, rng=RngStream(8))
-                assert results[v][b].to_dict() == alone.to_dict()
+                assert_nested_equal(results[v][b], alone, largest[b] or variant == "wald")
         assert results[1][0] is results[1][2]  # one Wald run serves every basis
 
     def test_mixed_basis_families_in_input_order(self):
@@ -392,43 +410,55 @@ class TestRunGpTest:
             BasisSpec(j_star=5, ranges=unit),
             BasisSpec(j_star=4),
         )
+        # three nests: additive Legendre on the unit square (largest J* = 5),
+        # tensor Fourier (4), and additive Legendre on the wider range (3)
+        largest = (False, False, False, True, True, True, False)
         cfg = EngineConfig()
         variants = (GP_UNSTANDARDIZED, GP_STANDARDIZED)
         results = run_gp_tests(data, score, specs, cfg, variants)
         fit = crossfit(data, score, 5, RngStream(0))
         x = data.covariate_matrix(score.covariates)
         for row, test in zip(results, (gp_test_unstandardized, gp_test_standardized)):
-            for result, spec in zip(row, specs):
+            for result, spec, top in zip(row, specs, largest):
                 alone = test(build_design(x, spec), fit.pseudo_outcomes, cfg)
+                alone.diagnostics.update(fit.diagnostics)
                 assert result.J == spec.n_columns
-                assert result.to_dict() == {**alone.to_dict(), "diagnostics": fit.diagnostics}
+                assert_nested_equal(result, alone, top)
 
     def test_statistic_and_scale_once_per_design(self, monkeypatch):
+        # one Sigma-hat per nest, at its largest J*: additive J* = 5 serves
+        # J* = 3 too, and tensor J* = 2 is a nest of its own
         calls = []
-        shared = engine._statistic_and_scale
+        shared = engine.sigma_hat
 
         def counted(design, g):
             calls.append(design.J)
             return shared(design, g)
 
-        monkeypatch.setattr(engine, "_statistic_and_scale", counted)
+        monkeypatch.setattr(engine, "sigma_hat", counted)
         data, score = self._setup(n=400)
         specs = (BasisSpec(j_star=3), BasisSpec(j_star=5), BasisSpec(j_star=2, combination="tensor"))
         run_gp_tests(data, score, specs, EngineConfig(),
                      (GP_STANDARDIZED, "wald", GP_UNSTANDARDIZED))
-        assert calls == [5, 9, 4]
+        assert calls == [9, 4]
 
     def test_restricted_design_gives_same_projection_and_sigma(self):
+        # a smaller J*'s projection and Sigma-hat are the nested columns'
+        # sub-vector and principal sub-block of the largest J*'s, to rounding
         rng = np.random.default_rng(62)
         x = rng.uniform(-1.0, 1.0, size=(300, 2))
         g = rng.standard_normal(300)
         for combination in ("additive", "tensor"):
-            big = build_design(x, BasisSpec(j_star=6, combination=combination))
-            for j_star in range(1, 6):
-                small = restrict(big, j_star)
+            spec = BasisSpec(j_star=6, combination=combination)
+            big = build_design(x, spec)
+            a, sig = projection_vector(big, g), sigma_hat(big, g)
+            for j_star in range(1, 7):
+                cols = nested_columns(spec, j_star)
                 direct = build_design(x, BasisSpec(j_star=j_star, combination=combination))
-                assert projection_vector(small, g).tobytes() == projection_vector(direct, g).tobytes()
-                assert sigma_hat(small, g).tobytes() == sigma_hat(direct, g).tobytes()
+                np.testing.assert_allclose(a[cols], projection_vector(direct, g),
+                                           rtol=0, atol=1e-15)
+                np.testing.assert_allclose(sig[np.ix_(cols, cols)], sigma_hat(direct, g),
+                                           rtol=0, atol=1e-14)
 
     def test_to_dict_round_trip(self):
         import json

@@ -375,8 +375,9 @@ class TestCli:
         [
             ("X1,X2,S,A,Y,X2\n", "duplicate column name 'X2'"),
             ("X1,X2,S,A,Y\n0.1,0.2,1,0,1_0\n", "cannot parse"),
+            ("X1,X2,S,A,Y\n", "need 2 <= K <= n, got K=5, n=0"),
         ],
-        ids=["duplicate_name", "digit_separator"],
+        ids=["duplicate_name", "digit_separator", "header_only"],
     )
     def test_bad_csv_exits_2(self, capsys, tmp_path, test_config_file, text, message):
         path = tmp_path / "bad.csv"
@@ -493,6 +494,19 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["columns"] == 5
         assert payload["xi_hat"] == pytest.approx(np.sqrt(5.0), rel=1e-4)
+
+    def test_basis_check_tensor_any_dimension(self, capsys):
+        argv = ["basis-check", "--dims", "4", "--combination", "tensor"]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["columns"] == 81
+        assert payload["xi_hat"] == pytest.approx(25.0, rel=1e-12)  # sqrt(5)^4
+        assert payload["omega_hat"] == pytest.approx(81.0, rel=1e-12)  # sqrt(1 + 3 + 5)^4
+
+    @pytest.mark.parametrize("dims", ["0", "-1"])
+    def test_basis_check_without_covariates_exits_2(self, capsys, dims):
+        assert main(["basis-check", "--dims", dims]) == 2
+        assert capsys.readouterr().err == "error: a basis needs at least one covariate range\n"
 
     def test_missing_data_file_exits_2(self, capsys, test_config_file):
         assert main(["test", "--data", "/no/such.csv", "--config", test_config_file]) == 2
