@@ -187,12 +187,17 @@ def basis_bound_diagnostics(spec: BasisSpec, grid_points: int = 1001):
     Reported for diagnostics only.  An additive ||B||^2 is 1 plus each
     axis's sum of non-constant b_j^2.  A tensor column is a product of
     per-axis functions, so its sup |b| is (axis max of |b_j|)^d and its
-    sup ||B||^2 is (axis max of sum_j b_j^2)^d.
+    sup ||B|| is (square root of the axis max of sum_j b_j^2)^d.  A d at
+    which either overflows a double is refused.
     """
     grid = np.linspace(-1.0, 1.0, grid_points)
     vals = _axis_design(spec.family, grid, spec.j_star)
-    sup_b = np.max(np.abs(vals))
+    sup_b = float(np.max(np.abs(vals)))
     if spec.combination == ADDITIVE:
         omega_hat = float(np.sqrt(1.0 + spec.dim * np.max(np.sum(vals[:, 1:] ** 2, axis=1))))
-        return float(sup_b), omega_hat
-    return float(sup_b ** spec.dim), float(np.sqrt(np.max(np.sum(vals**2, axis=1)) ** spec.dim))
+        return sup_b, omega_hat
+    axis_omega = float(np.sqrt(np.max(np.sum(vals**2, axis=1))))
+    try:  # a Python float power raises on overflow rather than returning inf
+        return sup_b ** spec.dim, axis_omega ** spec.dim
+    except OverflowError:
+        raise InvalidInput(f"tensor bounds overflow a double at d = {spec.dim}") from None

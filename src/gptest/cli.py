@@ -68,7 +68,7 @@ def cmd_test(args) -> int:
     ranges = _empirical_ranges(data.covariate_matrix(spec.covariates))
     basis_spec = BasisSpec(ranges=ranges, **kw["basis"])
     result = run_gp_test(data, spec, basis_spec, TestConfig(**kw["test"]), **kw["run"])
-    print(json.dumps(result.to_dict(), indent=2))
+    print(json.dumps(result.to_dict(), indent=2, allow_nan=False))
     return 0
 
 
@@ -109,6 +109,7 @@ def cmd_basis_check(args) -> int:
                 "omega_hat": omega_hat,
             },
             indent=2,
+            allow_nan=False,
         )
     )
     return 0

@@ -30,7 +30,6 @@ class Dataset:
     """Column-named observation matrix of finite floats."""
 
     columns: dict[str, np.ndarray]
-    provenance: str = ""
 
     def __post_init__(self):
         if not self.columns:
@@ -120,10 +119,7 @@ def gen_panel_a(cfg: PanelAConfig) -> Dataset:
     y0 = _panel_a_outcome_mean(x1, x2, s, 0.0, cfg.alpha1, cfg.alpha2) + 0.5 * eps
     y1 = y0 + 2.0 * x1 - 2.0 * x2
     y = np.where(a == 1.0, y1, y0)
-    return Dataset(
-        columns={"X1": x1, "X2": x2, "S": s, "A": a, "Y": y},
-        provenance=f"panel_a(n={cfg.n}, alpha=({cfg.alpha1},{cfg.alpha2}), seed={cfg.seed})",
-    )
+    return Dataset(columns={"X1": x1, "X2": x2, "S": s, "A": a, "Y": y})
 
 
 def oracle_nuisances_panel_a(cfg: PanelAConfig, a: int = 0) -> Callable[[np.ndarray], dict]:
@@ -220,10 +216,7 @@ def gen_panel_b(cfg: PanelBConfig) -> Dataset:
         np.where(stratum == 2, _sco2_effect(x1, x2, cfg.beta1, cfg.beta2), -2.0 * x1),
     )
     y = d * (y0 + effect) + (1.0 - d) * y0
-    return Dataset(
-        columns={"X1": x1, "X2": x2, "Z1": z1, "Z2": z2, "D": d, "Y": y},
-        provenance=f"panel_b(n={cfg.n}, beta=({cfg.beta1},{cfg.beta2}), seed={cfg.seed})",
-    )
+    return Dataset(columns={"X1": x1, "X2": x2, "Z1": z1, "Z2": z2, "D": d, "Y": y})
 
 
 def oracle_nuisances_panel_b(cfg: PanelBConfig) -> Callable[[np.ndarray], dict]:
@@ -368,4 +361,4 @@ def read_csv(path: str) -> Dataset:
     except OSError as exc:
         raise SchemaError(f"cannot read {path!r}: {exc}") from None
     arrays = {name: np.ascontiguousarray(values[:, j]) for j, name in enumerate(names)}
-    return Dataset(columns=arrays, provenance=f"csv:{path}")
+    return Dataset(columns=arrays)

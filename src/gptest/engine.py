@@ -11,7 +11,7 @@ Sigma-hat and comparing to the upper normal tail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -52,28 +52,19 @@ class TestResult:
     rho_hat: float | None = None
     gamma_hat: float | None = None
     t_hat: float | None = None
-    theta_ls: np.ndarray | None = None
     wald_df: int | None = None
+    theta_ls: np.ndarray | None = None
     diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = {
-            "method": self.method,
-            "statistic": self.statistic,
-            "p_value": self.p_value,
-            "reject": self.reject,
-            "J": self.J,
-        }
-        if self.tau_hat is not None:
-            out["tau_hat"] = [float(t) for t in self.tau_hat]
-        for name in ("rho_hat", "gamma_hat", "t_hat", "wald_df"):
-            val = getattr(self, name)
-            if val is not None:
-                out[name] = val
-        if self.theta_ls is not None:
-            out["theta_ls"] = [float(t) for t in self.theta_ls]
-        if self.diagnostics:
-            out["diagnostics"] = self.diagnostics
+        """The fields in declaration order, arrays as float lists, with
+        None fields and empty diagnostics left out."""
+        out = {}
+        for f in fields(self):
+            val = getattr(self, f.name)
+            if val is None or (isinstance(val, dict) and not val):
+                continue
+            out[f.name] = [float(v) for v in val] if isinstance(val, np.ndarray) else val
         return out
 
 
@@ -100,49 +91,28 @@ def sigma_hat(design: DesignMatrix, g: np.ndarray) -> np.ndarray:
     return weighted.T @ weighted / design.n
 
 
-def _scale(a: np.ndarray, sig: np.ndarray, n: int):
-    """J, S, Sigma-hat, and its trace and Frobenius norm, shared by both
-    GP variants; an identically zero Sigma-hat (every pseudo-outcome 0)
-    has no scale to calibrate against."""
+def _calibrated(variant: str, a: np.ndarray, sig: np.ndarray, n: int,
+                config: TestConfig) -> TestResult:
+    """Calibrate S = n * a'a for a GP variant: against the weighted
+    chi-square mixture over the eigenvalues of Sigma-hat, or by its trace
+    and Frobenius norm against the upper normal tail.  An identically
+    zero Sigma-hat (every pseudo-outcome 0) has no scale to calibrate
+    against."""
     gamma = float(np.linalg.norm(sig))
     if gamma == 0.0:
         raise DegenerateScale("Sigma-hat is identically zero")
-    return a.size, statistic(a, n), sig, float(np.trace(sig)), gamma
-
-
-def _mixture_calibrated(scale, config: TestConfig) -> TestResult:
-    J, s, sig, rho, gamma = scale
-    taus = sym_eigen(sig).values
-    p = chisq_mixture_sf(taus, s)
+    s, rho = statistic(a, n), float(np.trace(sig))
+    taus = t = None
+    if variant == GP_UNSTANDARDIZED:
+        taus = sym_eigen(sig).values
+        p = chisq_mixture_sf(taus, s)
+    else:
+        t = (s - rho) / (np.sqrt(2.0) * gamma)
+        p = normal_cdf(-t)  # the upper tail without the cancellation of 1 - cdf(t)
     return TestResult(
-        method=GP_UNSTANDARDIZED,
-        statistic=s,
-        p_value=p,
-        reject=p < config.alpha,
-        J=J,
-        tau_hat=taus,
-        rho_hat=rho,
-        gamma_hat=gamma,
+        method=variant, statistic=s, p_value=p, reject=p < config.alpha, J=a.size,
+        tau_hat=taus, rho_hat=rho, gamma_hat=gamma, t_hat=t,
     )
-
-
-def _normal_calibrated(scale, config: TestConfig) -> TestResult:
-    J, s, _, rho, gamma = scale
-    t = (s - rho) / (np.sqrt(2.0) * gamma)
-    p = normal_cdf(-t)  # the upper tail without the cancellation of 1 - cdf(t)
-    return TestResult(
-        method=GP_STANDARDIZED,
-        statistic=s,
-        p_value=p,
-        reject=p < config.alpha,
-        J=J,
-        rho_hat=rho,
-        gamma_hat=gamma,
-        t_hat=t,
-    )
-
-
-_CALIBRATIONS = {GP_STANDARDIZED: _normal_calibrated, GP_UNSTANDARDIZED: _mixture_calibrated}
 
 
 def gp_test_unstandardized(design: DesignMatrix, g, config: TestConfig) -> TestResult:
@@ -151,8 +121,8 @@ def gp_test_unstandardized(design: DesignMatrix, g, config: TestConfig) -> TestR
     The p-value is the exact mixture tail over the eigenvalues of
     Sigma-hat, so it needs no random draws.
     """
-    scale = _scale(projection_vector(design, g), sigma_hat(design, g), design.n)
-    return _mixture_calibrated(scale, config)
+    a, sig = projection_vector(design, g), sigma_hat(design, g)
+    return _calibrated(GP_UNSTANDARDIZED, a, sig, design.n, config)
 
 
 def gp_test_standardized(design: DesignMatrix, g, config: TestConfig) -> TestResult:
@@ -161,8 +131,8 @@ def gp_test_standardized(design: DesignMatrix, g, config: TestConfig) -> TestRes
     T = (S - trace Sigma) / (sqrt(2) ||Sigma||_F); rejects one-sided when
     T exceeds the upper-alpha normal quantile.
     """
-    scale = _scale(projection_vector(design, g), sigma_hat(design, g), design.n)
-    return _normal_calibrated(scale, config)
+    a, sig = projection_vector(design, g), sigma_hat(design, g)
+    return _calibrated(GP_STANDARDIZED, a, sig, design.n, config)
 
 
 def wald_projection_test(x_features, g, alpha: float = 0.05) -> TestResult:
@@ -214,11 +184,11 @@ def run_gp_test(
     return run_gp_tests(data, score, (basis_spec,), config, (variant,), K, rng)[0][0]
 
 
-def _nested_scales(x: np.ndarray, g: np.ndarray, basis_specs) -> list:
-    """The scale of every spec, in order.  Specs that differ only in J*
-    form a nest: its design, projection and Sigma-hat are computed once,
-    at its largest J*, and each smaller J* takes its columns' sub-vector
-    and principal sub-block."""
+def _nested_moments(x: np.ndarray, g: np.ndarray, basis_specs) -> list:
+    """The projection and Sigma-hat of every spec, in order.  Specs that
+    differ only in J* form a nest: its design, projection and Sigma-hat
+    are computed once, at its largest J*, and each smaller J* takes its
+    columns' sub-vector and principal sub-block."""
     moments = {}  # by nest: its largest spec, projection and Sigma-hat
     for spec in sorted(basis_specs, key=lambda spec: -spec.j_star):
         nest = spec.family, spec.combination, spec.ranges
@@ -226,14 +196,14 @@ def _nested_scales(x: np.ndarray, g: np.ndarray, basis_specs) -> list:
             check_basis_columns(spec.n_columns, x.shape[0])
             design = build_design(x, spec)
             moments[nest] = spec, projection_vector(design, g), sigma_hat(design, g)
-    scales = []
+    out = []
     for spec in basis_specs:
         big, a, sig = moments[spec.family, spec.combination, spec.ranges]
         if spec.j_star < big.j_star:
             cols = nested_columns(big, spec.j_star)
             a, sig = a[cols], sig[np.ix_(cols, cols)]
-        scales.append(_scale(a, sig, x.shape[0]))
-    return scales
+        out.append((a, sig))
+    return out
 
 
 def run_gp_tests(
@@ -250,9 +220,8 @@ def run_gp_tests(
     ``results[v][b]`` is ``variants[v]`` on ``basis_specs[b]``, all on the
     same pseudo-outcomes.  Specs that differ only in J* form a nest with
     one design, one projection and one Sigma-hat, computed at its largest
-    J*; a smaller J* takes their sub-vector and principal sub-block.  Each
-    spec's S, trace and Frobenius norm serve both GP variants.  The Wald
-    test uses no basis: it runs once and its result object stands in
+    J*; a smaller J* takes their sub-vector and principal sub-block.  The
+    Wald test uses no basis: it runs once and its result object stands in
     every column of its row.
     """
     for variant in variants:
@@ -263,16 +232,16 @@ def run_gp_tests(
     fit = crossfit(data, score, K, rng)
     g = fit.pseudo_outcomes
     x = data.covariate_matrix(score.covariates)
-    scales = []
+    moments = []
     if any(variant != WALD_PROJECTION for variant in variants):
-        scales = _nested_scales(x, g, basis_specs)
+        moments = _nested_moments(x, g, basis_specs)
     results = []
     for variant in variants:
         if variant == WALD_PROJECTION:
             wald = wald_projection_test(with_intercept(x), g, alpha=config.alpha)
             row = [wald] * len(basis_specs)
         else:
-            row = [_CALIBRATIONS[variant](scale, config) for scale in scales]
+            row = [_calibrated(variant, a, sig, data.n, config) for a, sig in moments]
         for result in row:
             result.diagnostics.update(fit.diagnostics)
         results.append(row)

@@ -19,7 +19,7 @@ from gptest.dgp import (
     oracle_nuisances_panel_b,
 )
 from gptest.harness import SimGridConfig, run_grid
-from gptest.numerics import RngStream, sym_eigen
+from gptest.numerics import RngStream, chisq_mixture_sf, sym_eigen
 from gptest.scores import ScoreSpec, orthogonality_diagnostic
 from mc_reference import weighted_chisq_pvalue
 
@@ -126,21 +126,27 @@ def test_criterion_6_panel_b_power_ordering(criterion_report):
 
 
 def test_criterion_7_calibration_oracle(criterion_report):
+    # the Monte Carlo helper, then the shipped exact tail against it
     draws = 100_000
-    worst_abs = 0.0
+    worst_abs = worst_exact = 0.0
     for tau, q in ((1.0, 3.841458820694124), (2.5, 2.5 * 3.841458820694124)):
         p = weighted_chisq_pvalue([tau], q, draws, RngStream(0))
         worst_abs = max(worst_abs, abs(p - 0.05))
-    worst_pair = 0.0
+        worst_exact = max(worst_exact, abs(chisq_mixture_sf(np.array([tau]), q) - 0.05))
+    worst_pair = worst_z = 0.0
     for taus, s in (([0.5, 1.0, 2.0], 6.0), (list(range(1, 11)), 80.0)):
         pa = weighted_chisq_pvalue(taus, s, draws, RngStream(101))
         pb = weighted_chisq_pvalue(taus, s, draws, RngStream(202))
         worst_pair = max(worst_pair, abs(pa - pb))
-    ok = worst_abs < 0.004 and worst_pair < 0.006
+        exact = chisq_mixture_sf(np.array(taus, dtype=float), s)
+        se = np.sqrt(exact * (1.0 - exact) / draws)
+        worst_z = max(worst_z, abs(pa - exact) / se, abs(pb - exact) / se)
+    ok = worst_abs < 0.004 and worst_pair < 0.006 and worst_exact < 1e-12 and worst_z <= 4.0
     criterion_report(
         7, ok,
         f"calibration: single-weight error {worst_abs:.4f} (< 0.004), "
-        f"two-seed gap {worst_pair:.4f} (< 0.006)",
+        f"two-seed gap {worst_pair:.4f} (< 0.006); chisq_mixture_sf single-weight "
+        f"error {worst_exact:.1e} (< 1e-12), worst |z| vs Monte Carlo {worst_z:.2f} (<= 4)",
     )
     assert ok
 

@@ -29,7 +29,7 @@ from gptest.engine import (
 )
 from gptest.engine import TestConfig as EngineConfig
 from gptest.errors import DegenerateScale, InvalidInput
-from gptest.nuisance import crossfit
+from gptest.nuisance import crossfit, with_intercept
 from gptest.numerics import RngStream, chi2_sf, chisq_mixture_sf, normal_cdf, sym_eigen
 from gptest.scores import IV_COMPATIBILITY, MEAN_EXCHANGEABILITY, ScoreSpec, evaluate_score
 from mc_reference import weighted_chisq_pvalue
@@ -468,3 +468,31 @@ class TestRunGpTest:
         payload = json.loads(json.dumps(res.to_dict()))
         assert payload["method"] == GP_STANDARDIZED
         assert payload["reject"] == res.reject
+
+    @pytest.mark.parametrize("variant, keys", [
+        (GP_STANDARDIZED, ["rho_hat", "gamma_hat", "t_hat"]),
+        (GP_UNSTANDARDIZED, ["tau_hat", "rho_hat", "gamma_hat"]),
+        ("wald", ["wald_df", "theta_ls"]),
+    ])
+    def test_to_dict_keys_and_types(self, variant, keys):
+        # the key order is the JSON that `gptest test` prints; arrays become
+        # float lists, and a direct call has no diagnostics to report
+        data, score = self._setup(n=400)
+        x = data.covariate_matrix(score.covariates)
+        g = crossfit(data, score, 5, RngStream(0)).pseudo_outcomes
+        if variant == "wald":
+            direct = wald_projection_test(with_intercept(x), g)
+        else:
+            test = gp_test_standardized if variant == GP_STANDARDIZED else gp_test_unstandardized
+            direct = test(build_design(x, BasisSpec(j_star=3)), g, EngineConfig())
+        run = run_gp_test(data, score, BasisSpec(j_star=3), EngineConfig(), variant=variant)
+        head = ["method", "statistic", "p_value", "reject", "J"]
+        for result, tail in ((direct, []), (run, ["diagnostics"])):
+            out = result.to_dict()
+            assert list(out) == head + keys + tail
+            assert out["method"] == variant and type(out["reject"]) is bool
+            assert all(type(out[k]) is float for k in ("statistic", "p_value"))
+            for name in ("tau_hat", "theta_ls"):
+                if name in out:
+                    assert all(type(v) is float for v in out[name]) and out[name]
+        assert run.to_dict()["diagnostics"] == run.diagnostics != {}

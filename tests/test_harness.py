@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -502,6 +503,24 @@ class TestCli:
         assert payload["columns"] == 81
         assert payload["xi_hat"] == pytest.approx(25.0, rel=1e-12)  # sqrt(5)^4
         assert payload["omega_hat"] == pytest.approx(81.0, rel=1e-12)  # sqrt(1 + 3 + 5)^4
+
+    def test_basis_check_tensor_bounds_stay_finite(self, capsys):
+        # 3^400 fits in a double though 9^400 does not: the root comes first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["basis-check", "--dims", "400", "--combination", "tensor"]) == 0
+        payload = json.loads(capsys.readouterr().out,
+                             parse_constant=lambda c: pytest.fail(f"non-strict JSON: {c}"))
+        assert payload["xi_hat"] == pytest.approx(5.0 ** 200, rel=1e-12)
+        assert payload["omega_hat"] == pytest.approx(3.0 ** 400, rel=1e-12)
+
+    def test_basis_check_overflowing_bounds_exit_2(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["basis-check", "--dims", "1000", "--combination", "tensor"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: tensor bounds overflow a double at d = 1000\n"
 
     @pytest.mark.parametrize("dims", ["0", "-1"])
     def test_basis_check_without_covariates_exits_2(self, capsys, dims):
