@@ -47,8 +47,8 @@ TEST_KEYS = (
     ("covariates", harness.listed(str), "score", "covariates"),
     ("clip_propensity", float, "score", "clip_propensity"),
     ("clip_denominator", float, "score", "clip_denominator"),
-    *((f"{role}_col", harness.name, "score", ("columns", role))
-      for role in ("y", "a", "s", "d", "z1", "z2", "z")),
+    *((f"{role}_col", harness.name, "score", ("columns", role))  # every kind's roles, once
+      for role in dict.fromkeys(role for roles in ScoreSpec.ROLES.values() for role in roles)),
     ("variant", harness.choice(METHODS), "run", "variant"),
     ("folds", lambda text: check_folds(int(text)), "run", "K"),
     ("basis_family", str, "basis", "family"),

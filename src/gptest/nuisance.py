@@ -182,16 +182,6 @@ def make_folds(n: int, K: int, rng: RngStream) -> np.ndarray:
     return fold_of
 
 
-def _single_class_folds(y: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Folds whose training rows all carry the same label value."""
-    # count each fold's training labels that differ from its first one:
-    # row 0's, except in the fold that holds row 0 out
-    differs = weights @ (y != y[0]).astype(float)
-    k = np.argmin(weights[:, 0])
-    differs[k] = weights[k] @ (y != y[np.argmax(weights[k])]).astype(float)
-    return np.flatnonzero(differs == 0)
-
-
 class _Folds:
     """The shared intercept design and the fold of every row; counts the
     fold fits that did not converge."""
@@ -226,40 +216,35 @@ class _Folds:
         weights = (fold_of != np.arange(self.K)[:, None]).astype(float)
         return rows, _Setup(features, weights, self.pair_index)
 
-    def out_of_fold(self, fit: _Setup, y: np.ndarray, link: str, label: str):
+    def out_of_fold(self, fit: _Setup, y: np.ndarray, binary: bool, label: str):
         """Row i's prediction from fold ``fold_of[i]``'s fit to the stratum's
-        labels ``y``: by IRLS for link 'logit', else by least squares."""
-        if link == "logit":
-            single = _single_class_folds(y, fit.weights)
-            if single.size:
-                raise InsufficientStratum(
-                    f"training data for fold {single[0]} is single-class in stratum {label}"
-                )
-            beta, converged = _irls(fit, y)
-            self.nonconverged += int(np.sum(~converged))
-        else:
-            beta = _lstsq(fit, y)
-        eta = np.take(beta @ self.features.T, self.own_fold)
-        return expit(eta) if link == "logit" else eta
+        labels ``y``: by IRLS if they are ``binary`` (0/1), else by least squares."""
+        if not binary:
+            return np.take(_lstsq(fit, y) @ self.features.T, self.own_fold)
+        # a fold trains on one class when its count of ones is 0 or its row count
+        ones = fit.weights @ y
+        single = np.flatnonzero((ones == 0.0) | (ones == fit.weights.sum(axis=1)))
+        if single.size:
+            raise InsufficientStratum(
+                f"training data for fold {single[0]} is single-class in stratum {label}"
+            )
+        beta, converged = _irls(fit, y)
+        self.nonconverged += int(np.sum(~converged))
+        return expit(np.take(beta @ self.features.T, self.own_fold))
 
     def predict(self, stratum: np.ndarray, *targets):
-        """Out-of-fold predictions of each (target, link, label) from one
-        set-up of the stratum; a failure names the target's label."""
+        """Out-of-fold predictions of each (labels, binary, label) target from
+        one set-up of the stratum; a failure names the target's label."""
         rows, fit = self.training(stratum, targets[0][2])
-        return [self.out_of_fold(fit, t[rows], link, label) for t, link, label in targets]
+        return [self.out_of_fold(fit, y[rows], binary, label) for y, binary, label in targets]
 
 
-def _target(data: Dataset, spec: sc.ScoreSpec, role: str):
-    """The column playing ``role`` and its link: logit if it holds only 0 and 1, else identity."""
-    col = data.col(spec.column(role))
-    return col, "logit" if np.all((col == 0.0) | (col == 1.0)) else "identity"
+# Each fitter takes the (column, binary) of each role from ScoreSpec.check_columns
+# and returns the out-of-fold value of each of its nuisances at every row.
 
 
-# Each fitter returns the out-of-fold value of each of its nuisances at every row.
-
-
-def _fit_me(data: Dataset, spec: sc.ScoreSpec, folds: _Folds):
-    y, a, s = (_target(data, spec, role) for role in ("y", "a", "s"))
+def _fit_me(roles: dict, spec: sc.ScoreSpec, folds: _Folds):
+    y, s, a = roles["y"], roles["s"], roles["a"]
     (ps1,) = folds.predict(folds.everyone, (*s, "S"))
     values = {}
     for sv in (0, 1):
@@ -272,8 +257,8 @@ def _fit_me(data: Dataset, spec: sc.ScoreSpec, folds: _Folds):
     return values
 
 
-def _fit_iv(data: Dataset, spec: sc.ScoreSpec, folds: _Folds):
-    d, y, z1, z2 = (_target(data, spec, role) for role in ("d", "y", "z1", "z2"))
+def _fit_iv(roles: dict, spec: sc.ScoreSpec, folds: _Folds):
+    d, y, z1, z2 = roles["d"], roles["y"], roles["z1"], roles["z2"]
     pz1, pz2 = folds.predict(folds.everyone, (*z1, "Z1"), (*z2, "Z2"))
     values = {"pz1": pz1, "pz2": pz2}
     for j, z in ((1, z1[0]), (2, z2[0])):
@@ -284,10 +269,10 @@ def _fit_iv(data: Dataset, spec: sc.ScoreSpec, folds: _Folds):
     return values
 
 
-def _fit_parametric(data: Dataset, spec: sc.ScoreSpec, folds: _Folds):
+def _fit_parametric(roles: dict, spec: sc.ScoreSpec, folds: _Folds):
     """The fitted mean ``h`` and each row's leverage under its own fold's Gram matrix."""
     _, fit = folds.training(folds.everyone, "Y")
-    h = folds.out_of_fold(fit, data.col(spec.column("y")), "identity", "Y")
+    h = folds.out_of_fold(fit, roles["y"][0], False, "Y")
     p = fit.features.shape[1]
     gram = fit.gram / fit.weights.sum(axis=1)[:, None, None]
     gram_inv = np.linalg.inv(gram + RIDGE_JITTER * np.eye(p))
@@ -296,9 +281,8 @@ def _fit_parametric(data: Dataset, spec: sc.ScoreSpec, folds: _Folds):
     return {"h": h, "leverage": leverage}
 
 
-def _fit_condcov(data: Dataset, spec: sc.ScoreSpec, folds: _Folds):
-    y, z = _target(data, spec, "y"), _target(data, spec, "z")
-    mean_y, mean_z = folds.predict(folds.everyone, (*y, "y"), (*z, "z"))
+def _fit_condcov(roles: dict, spec: sc.ScoreSpec, folds: _Folds):
+    mean_y, mean_z = folds.predict(folds.everyone, (*roles["y"], "y"), (*roles["z"], "z"))
     return {"mean_y": mean_y, "mean_z": mean_z}
 
 
@@ -317,13 +301,13 @@ def crossfit(data: Dataset, spec: sc.ScoreSpec, K: int, rng: RngStream) -> Cross
     models are fit.  Both modes check the score's columns first, refuse
     non-finite pseudo-outcomes and report the score's clip diagnostics.
     """
-    spec.check_columns(data)
+    roles = spec.check_columns(data)
     x = data.covariate_matrix(spec.covariates)
     if spec.nuisance_mode == "oracle":
         source, fold_of, eta, diagnostics = "the oracle", None, spec.oracle(x), {}
     else:
         folds = _Folds(with_intercept(x), make_folds(data.n, K, rng), K)
-        eta = _FITTERS[spec.kind](data, spec, folds)
+        eta = _FITTERS[spec.kind](roles, spec, folds)
         source, fold_of = "cross-fitting", folds.fold_of
         diagnostics = {"K": K, "nonconverged_fits": folds.nonconverged}
     pseudo = sc.evaluate_score(data, eta, spec)

@@ -22,13 +22,6 @@ IV_COMPATIBILITY = "iv_compatibility"
 PARAMETRIC_SPEC = "parametric_spec"
 CONDITIONAL_COVARIANCE = "conditional_covariance"
 
-SCORE_KINDS = (
-    MEAN_EXCHANGEABILITY,
-    IV_COMPATIBILITY,
-    PARAMETRIC_SPEC,
-    CONDITIONAL_COVARIANCE,
-)
-
 
 @dataclass
 class ScoreSpec:
@@ -46,7 +39,7 @@ class ScoreSpec:
 
     # each score kind's roles, whose columns default to their names in capitals;
     # s, a, z1 and z2 hold 0/1 indicators
-    _ROLES = {
+    ROLES = {
         MEAN_EXCHANGEABILITY: ("y", "s", "a"),
         IV_COMPATIBILITY: ("y", "d", "z1", "z2"),
         PARAMETRIC_SPEC: ("y",),
@@ -54,7 +47,7 @@ class ScoreSpec:
     }
 
     def __post_init__(self):
-        if self.kind not in SCORE_KINDS:
+        if self.kind not in self.ROLES:
             raise InvalidInput(f"unknown score kind {self.kind!r}")
         if not (0.0 < self.clip_propensity < 0.5):
             raise InvalidInput("clip_propensity must lie in (0, 0.5)")
@@ -69,8 +62,11 @@ class ScoreSpec:
             )
         if self.arm not in (0, 1):
             raise InvalidInput("arm must be 0 or 1")
+        for role in self.columns:
+            if role not in self.ROLES[self.kind]:
+                raise InvalidInput(f"score {self.kind!r} has no {role!r} role")
         roles = {}
-        for role in self._ROLES[self.kind]:
+        for role in self.ROLES[self.kind]:
             name = self.column(role)
             if name in roles:
                 raise InvalidInput(
@@ -86,22 +82,25 @@ class ScoreSpec:
     def column(self, role: str) -> str:
         return self.columns.get(role, role.upper())
 
-    def check_columns(self, data: Dataset) -> None:
-        """Refuse, role by role, a value other than 0 and 1 in an indicator
-        role and then a column that holds one value in every row."""
-        for role in self._ROLES[self.kind]:
+    def check_columns(self, data: Dataset) -> dict[str, tuple[np.ndarray, bool]]:
+        """Each role's column and whether it holds only 0 and 1, in role
+        order.  Refuses, role by role, a value other than 0 and 1 in an
+        indicator role and then a column that holds one value in every row."""
+        out = {}
+        for role in self.ROLES[self.kind]:
             name = self.column(role)
             vals = data.col(name)
-            if role in ("s", "a", "z1", "z2"):
-                bad = (vals != 0.0) & (vals != 1.0)
-                if bad.any():
-                    row = int(np.argmax(bad))
-                    value = float(vals[row])
-                    raise SchemaError(f"binary column {name!r} has value {value} at row {row + 1}")
+            binary = bool(np.all((vals == 0.0) | (vals == 1.0)))
+            if not binary and role in ("s", "a", "z1", "z2"):
+                row = int(np.argmax((vals != 0.0) & (vals != 1.0)))
+                value = float(vals[row])
+                raise SchemaError(f"binary column {name!r} has value {value} at row {row + 1}")
             if vals.size and (vals == vals[0]).all():
                 if role == "y":
                     raise SchemaError(f"outcome column {name!r} is constant")
                 raise SchemaError(f"column {name!r} (the score's {role} role) is constant")
+            out[role] = vals, binary
+        return out
 
 
 def _clip_prob(p, clip):

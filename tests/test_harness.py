@@ -120,6 +120,11 @@ class TestConfigParsing:
         with pytest.raises(InvalidConfig, match=message):
             parse_config("covariates = X1, treated\na_col = treated\n", TEST_KEYS)
 
+    def test_column_keys_are_every_score_kinds_roles(self):
+        roles = {role for kind_roles in ScoreSpec.ROLES.values() for role in kind_roles}
+        assert {row[0] for row in TEST_KEYS if row[0].endswith("_col")} == {
+            f"{role}_col" for role in roles}
+
     def test_readme_key_table_matches_code(self):
         readme = (ROOT / "README.md").read_text()
         table = {}
@@ -627,6 +632,7 @@ BAD_TEST_VALUES = [
     *((f"{role}_col", f"{role}_col =") for role in ("y", "a", "s", "d", "z1", "z2", "z")),
     ("a_col", "a_col = S"),
     ("d_col", "score = iv_compatibility\nd_col = Z1"),
+    ("s_col", "score = iv_compatibility\ns_col = nonexistent"),
     ("variant", "variant = anova"),
     ("folds", "folds = 2.5"),
     ("folds", "folds = 1"),

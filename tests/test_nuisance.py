@@ -457,13 +457,13 @@ def _multi_target_cases():
     sep, one = _separated_condcov_dataset(), _one_fold_separated_dataset()
     return {
         "panel_b_every_row": (
-            b, None, [(b.col("Z1"), "logit", "Z1"), (b.col("Z2"), "logit", "Z2")], 0),
+            b, None, [(b.col("Z1"), True, "Z1"), (b.col("Z2"), True, "Z2")], 0),
         "panel_b_arm": (
             b, b.col("Z1") == 0.0,
-            [(b.col("D"), "logit", "Z1=0"), (b.col("Y"), "identity", "Z1=0")], 0),
-        "separated": (sep, None, [(sep.col("Y"), "logit", "y"), (sep.col("Z"), "identity", "z")], 4),
+            [(b.col("D"), True, "Z1=0"), (b.col("Y"), False, "Z1=0")], 0),
+        "separated": (sep, None, [(sep.col("Y"), True, "y"), (sep.col("Z"), False, "z")], 4),
         "one_fold_separated": (
-            one, None, [(one.col("Z"), "identity", "z"), (one.col("Y"), "logit", "y")], 1),
+            one, None, [(one.col("Z"), False, "z"), (one.col("Y"), True, "y")], 1),
     }
 
 
@@ -535,17 +535,16 @@ class TestBatchedFailurePaths:
 
     @pytest.mark.parametrize("which", ["fold_of_row_0", "other_fold"])
     def test_single_class_in_one_fold(self, which):
-        # binary Y is 1 only on the rows of one fold, so that fold alone
-        # trains on a single class; the check compares each fold with one
-        # of its own training labels, and row 0 is held out of its fold
+        # binary Y is 1 (then 0) only on the rows of one fold, so that fold
+        # alone trains on labels that are all 0 (then all 1)
         data = _condcov_null_dataset(300, 33)
         fold_of = make_folds(300, 5, RngStream(6))
         k = fold_of[0] if which == "fold_of_row_0" else (fold_of[0] + 1) % 5
-        y = (fold_of == k).astype(float)
-        broken = Dataset(columns=dict(data.columns, Y=y))
         pattern = rf"training data for fold {k} is single-class in stratum y$"
-        with pytest.raises(InsufficientStratum, match=pattern):
-            crossfit(broken, ScoreSpec(kind="conditional_covariance"), K=5, rng=RngStream(6))
+        for y in ((fold_of == k).astype(float), (fold_of != k).astype(float)):
+            broken = Dataset(columns=dict(data.columns, Y=y))
+            with pytest.raises(InsufficientStratum, match=pattern):
+                crossfit(broken, ScoreSpec(kind="conditional_covariance"), K=5, rng=RngStream(6))
 
     def test_singular_gram_takes_jitter_retry(self):
         # X2 = 0 on every S = 1 row: each fold's Gram matrix in the S=1

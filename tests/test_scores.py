@@ -96,6 +96,15 @@ class TestSpecValidation:
         # each role still has a column of its own
         ScoreSpec(columns={"s": "A", "a": "S"})
 
+    @pytest.mark.parametrize("kind", list(ScoreSpec.ROLES))
+    def test_role_of_another_kind_refused(self, kind):
+        every_role = {role for roles in ScoreSpec.ROLES.values() for role in roles}
+        foreign = sorted(every_role - set(ScoreSpec.ROLES[kind]))
+        assert foreign
+        for role in foreign:
+            with pytest.raises(InvalidInput, match=rf"^score '{kind}' has no '{role}' role$"):
+                ScoreSpec(kind=kind, columns={role: "W"})
+
 
 def _me_columns(n, **changes):
     rng = np.random.default_rng(1)
@@ -108,6 +117,31 @@ def _me_columns(n, **changes):
 
 
 class TestCheckColumns:
+    @pytest.mark.parametrize(
+        "kind, columns, binary",
+        [
+            ("mean_exchangeability", {}, {"y": False, "s": True, "a": True}),
+            ("iv_compatibility", {}, {"y": False, "d": True, "z1": True, "z2": True}),
+            ("parametric_spec", {}, {"y": False}),
+            ("conditional_covariance", {"z": "S"}, {"y": False, "z": True}),
+            ("conditional_covariance", {"y": "A", "z": "Y"}, {"y": True, "z": False}),
+        ],
+        ids=["mean_exchangeability", "iv_compatibility", "parametric_spec", "condcov_binary_z",
+             "condcov_binary_y"],
+    )
+    def test_returns_each_roles_column_and_flag(self, kind, columns, binary):
+        # the dataset's own arrays, in role order, each with whether it holds only 0 and 1
+        if kind == "iv_compatibility":
+            data = gen_panel_b(PanelBConfig(n=400, seed=5))
+        else:
+            data = gen_panel_a(PanelAConfig(n=400, seed=5))
+        spec = ScoreSpec(kind=kind, columns=columns)
+        roles = spec.check_columns(data)
+        assert list(roles) == list(ScoreSpec.ROLES[kind]) == list(binary)
+        for role, (column, flag) in roles.items():
+            assert column is data.col(spec.column(role))
+            assert flag is binary[role]
+
     def test_binary_violation(self):
         data = Dataset(columns={"S": np.array([1.0, 0.0]), "A": np.array([0.0, 2.0]),
                                 "Y": np.arange(2.0)})
