@@ -45,6 +45,8 @@ class BasisSpec:
             raise InvalidInput(f"unknown combination {self.combination!r}")
         if self.j_star < 1:
             raise InvalidInput("j_star must be >= 1")
+        if self.family == LEGENDRE and self.j_star - 1 > _MAX_DEGREE:
+            raise InvalidInput(f"degree {self.j_star - 1} exceeds recurrence budget {_MAX_DEGREE}")
         if not self.ranges:
             raise InvalidInput("a basis needs at least one covariate range")
         for lo, hi in self.ranges:
@@ -67,7 +69,6 @@ class DesignMatrix:
     """Realized n x J basis evaluation matrix."""
 
     values: np.ndarray
-    spec: BasisSpec
 
     @property
     def n(self) -> int:
@@ -78,43 +79,28 @@ class DesignMatrix:
         return self.values.shape[1]
 
 
-def _legendre(x: np.ndarray, j_max: int) -> list[np.ndarray]:
-    """Classical Legendre polynomials P_0(x), ..., P_{j_max}(x) of x in [-1, 1].
-
-    One pass of the three-term recurrence gives every degree.
-    """
-    if j_max > _MAX_DEGREE:
-        raise InvalidInput(f"degree {j_max} exceeds recurrence budget {_MAX_DEGREE}")
-    p = [np.ones_like(x), x][: j_max + 1]
-    for k in range(1, j_max):
-        p.append(((2 * k + 1) * x * p[k] - k * p[k - 1]) / (k + 1))
-    return p
-
-
-def _fourier(j: int, x: np.ndarray) -> np.ndarray:
-    if j == 0:
-        return np.ones_like(x)
-    k = (j + 1) // 2
-    if j % 2 == 1:
-        return np.sqrt(2.0) * np.cos(k * np.pi * x)
-    return np.sqrt(2.0) * np.sin(k * np.pi * x)
-
-
 def _axis_design(family: str, z: np.ndarray, j_star: int, out=None, first: int = 0):
     """b_first(z), ..., b_{J*-1}(z) for z in [-1, 1], written into the
     columns of ``out`` (n x (J* - first), new if not given).
 
-    Legendre columns share one recurrence pass; Fourier columns are one
-    cos or sin call each.
+    Legendre columns are sqrt(2j+1) P_j(z), every degree from one pass of
+    the three-term recurrence; Fourier columns are one cos or sin call each.
     """
     if out is None:
         out = np.empty((z.shape[0], j_star - first))
     if family == LEGENDRE:
-        for j, p in enumerate(_legendre(z, j_star - 1)[first:], start=first):
-            np.multiply(np.sqrt(2.0 * j + 1.0), p, out=out[:, j - first])
+        p = [np.ones_like(z), z][:j_star]
+        for k in range(1, j_star - 1):
+            p.append(((2 * k + 1) * z * p[k] - k * p[k - 1]) / (k + 1))
+        for j in range(first, j_star):
+            np.multiply(np.sqrt(2.0 * j + 1.0), p[j], out=out[:, j - first])
     else:
         for j in range(first, j_star):
-            out[:, j - first] = _fourier(j, z)
+            if j == 0:
+                out[:, 0] = 1.0
+            else:
+                trig = np.cos if j % 2 == 1 else np.sin
+                out[:, j - first] = np.sqrt(2.0) * trig((j + 1) // 2 * np.pi * z)
     return out
 
 
@@ -158,7 +144,7 @@ def build_design(x_matrix, spec: BasisSpec) -> DesignMatrix:
         values = axes[0]
         for axis in axes[1:]:  # the last covariate's degree varies fastest
             values = (values[:, :, None] * axis[:, None, :]).reshape(n, -1)
-    return DesignMatrix(values=values, spec=spec)
+    return DesignMatrix(values)
 
 
 def nested_columns(spec: BasisSpec, j_star: int) -> np.ndarray:

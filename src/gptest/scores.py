@@ -45,6 +45,12 @@ class ScoreSpec:
         PARAMETRIC_SPEC: ("y",),
         CONDITIONAL_COVARIANCE: ("y", "z"),
     }
+    # the score kinds that read each option; another kind refuses a non-default value
+    READERS = {
+        "arm": (MEAN_EXCHANGEABILITY,),
+        "clip_propensity": (MEAN_EXCHANGEABILITY, IV_COMPATIBILITY),
+        "clip_denominator": (IV_COMPATIBILITY,),
+    }
 
     def __post_init__(self):
         if self.kind not in self.ROLES:
@@ -62,6 +68,10 @@ class ScoreSpec:
             )
         if self.arm not in (0, 1):
             raise InvalidInput("arm must be 0 or 1")
+        for option, kinds in self.READERS.items():
+            default = self.__dataclass_fields__[option].default
+            if self.kind not in kinds and getattr(self, option) != default:
+                raise InvalidInput(f"score {self.kind!r} does not read {option}")
         for role in self.columns:
             if role not in self.ROLES[self.kind]:
                 raise InvalidInput(f"score {self.kind!r} has no {role!r} role")

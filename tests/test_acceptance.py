@@ -265,13 +265,12 @@ def test_criterion_11_invariance_suite(criterion_report):
     b = rng.standard_normal((200, 4))
     g = rng.standard_normal(200)
     q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-    spec = BasisSpec(j_star=3)
-    base = gp_test_unstandardized(DesignMatrix(b, spec), g, EngineConfig(seed=1))
-    rot = gp_test_unstandardized(DesignMatrix(b @ q, spec), g, EngineConfig(seed=1))
+    base = gp_test_unstandardized(DesignMatrix(b), g, EngineConfig(seed=1))
+    rot = gp_test_unstandardized(DesignMatrix(b @ q), g, EngineConfig(seed=1))
     rot_err = abs(base.statistic - rot.statistic) / max(1.0, abs(base.statistic))
 
-    t_base = gp_test_standardized(DesignMatrix(b, spec), g, EngineConfig()).t_hat
-    t_scaled = gp_test_standardized(DesignMatrix(b, spec), 13.7 * g, EngineConfig()).t_hat
+    t_base = gp_test_standardized(DesignMatrix(b), g, EngineConfig()).t_hat
+    t_scaled = gp_test_standardized(DesignMatrix(b), 13.7 * g, EngineConfig()).t_hat
     scale_err = abs(t_base - t_scaled) / max(1.0, abs(t_base))
 
     grid_kw = dict(

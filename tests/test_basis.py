@@ -43,6 +43,12 @@ class TestLegendre:
         with pytest.raises(InvalidInput, match="degree 65"):
             axis_values("legendre", 66, 0.5)
 
+    def test_degree_cap_checked_by_the_spec(self):
+        with pytest.raises(InvalidInput, match="^degree 65 exceeds recurrence budget 64$"):
+            BasisSpec(j_star=66)
+        BasisSpec(j_star=65)
+        BasisSpec(family="fourier", j_star=66)  # Fourier has no recurrence
+
     def test_gram_schmidt_oracle_low_degrees(self):
         # independent construction: orthonormalize monomials by quadrature
         nodes, weights = leggauss(64)

@@ -34,11 +34,9 @@ from gptest.numerics import RngStream, chi2_sf, chisq_mixture_sf, normal_cdf, sy
 from gptest.scores import IV_COMPATIBILITY, MEAN_EXCHANGEABILITY, ScoreSpec, evaluate_score
 from mc_reference import weighted_chisq_pvalue
 
-UNIT_SPEC = BasisSpec(j_star=3)
-
 
 def design_from(values):
-    return DesignMatrix(values=np.asarray(values, dtype=float), spec=UNIT_SPEC)
+    return DesignMatrix(values=np.asarray(values, dtype=float))
 
 
 def assert_nested_equal(result, alone, largest):

@@ -626,9 +626,12 @@ BAD_TEST_VALUES = [
     ("covariates", "covariates = X1, X1"),
     ("covariates", "covariates = X1, S"),
     ("covariates", "covariates = X1, Y"),
+    ("arm", "score = parametric_spec\narm = 1"),
     ("clip_propensity", "clip_propensity = 0.5"),
+    ("clip_propensity", "score = conditional_covariance\nclip_propensity = 0.2"),
     ("clip_denominator", "clip_denominator = 0"),
     ("clip_denominator", "clip_denominator = nan"),
+    ("clip_denominator", "clip_denominator = 0.3"),
     *((f"{role}_col", f"{role}_col =") for role in ("y", "a", "s", "d", "z1", "z2", "z")),
     ("a_col", "a_col = S"),
     ("d_col", "score = iv_compatibility\nd_col = Z1"),
@@ -638,6 +641,7 @@ BAD_TEST_VALUES = [
     ("folds", "folds = 1"),
     ("basis_family", "basis_family = hermite"),
     ("j_star", "j_star = x"),
+    ("j_star", "j_star = 66"),
     ("combination", "combination = diagonal"),
     ("alpha", "alpha = x"),
     ("seed", "seed = 1.5"),
@@ -649,6 +653,7 @@ BAD_SIM_VALUES = [
     ("scenarios", "scenarios = nan,0"),
     ("scenarios", "panel = B\nscenarios = inf,0"),
     ("j_star", "j_star = x"),
+    ("j_star", "j_star = 66"),
     ("methods", "methods = anova"),
     ("replications", "replications = 0"),
     ("seed", "seed = x"),

@@ -105,6 +105,29 @@ class TestSpecValidation:
             with pytest.raises(InvalidInput, match=rf"^score '{kind}' has no '{role}' role$"):
                 ScoreSpec(kind=kind, columns={role: "W"})
 
+    @pytest.mark.parametrize("kind", list(ScoreSpec.ROLES))
+    def test_option_the_kind_does_not_read_refused(self, kind):
+        ScoreSpec(kind=kind, arm=0, clip_propensity=0.01, clip_denominator=0.05)
+        other = {"arm": 1, "clip_propensity": 0.2, "clip_denominator": 0.3}
+        for option, kinds in ScoreSpec.READERS.items():
+            if kind in kinds:
+                ScoreSpec(kind=kind, **{option: other[option]})
+            else:
+                with pytest.raises(InvalidInput,
+                                   match=rf"^score '{kind}' does not read {option}$"):
+                    ScoreSpec(kind=kind, **{option: other[option]})
+
+    def test_readers_of_each_option(self):
+        assert ScoreSpec.READERS == {
+            "arm": ("mean_exchangeability",),
+            "clip_propensity": ("mean_exchangeability", "iv_compatibility"),
+            "clip_denominator": ("iv_compatibility",),
+        }
+
+    def test_default_arm_accepted_by_a_kind_that_does_not_read_it(self):
+        # the score spec of the benchmark's IV workloads
+        ScoreSpec(kind="iv_compatibility", arm=0, nuisance_mode="crossfit", oracle=None)
+
 
 def _me_columns(n, **changes):
     rng = np.random.default_rng(1)
