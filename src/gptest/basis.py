@@ -8,6 +8,7 @@ rescaled to [-1, 1] before evaluation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,26 +94,26 @@ def _axis_design(family: str, z: np.ndarray, j_star: int, out=None, first: int =
         for k in range(1, j_star - 1):
             p.append(((2 * k + 1) * z * p[k] - k * p[k - 1]) / (k + 1))
         for j in range(first, j_star):
-            np.multiply(np.sqrt(2.0 * j + 1.0), p[j], out=out[:, j - first])
+            np.multiply(math.sqrt(2.0 * j + 1.0), p[j], out=out[:, j - first])
     else:
         for j in range(first, j_star):
             if j == 0:
                 out[:, 0] = 1.0
             else:
                 trig = np.cos if j % 2 == 1 else np.sin
-                out[:, j - first] = np.sqrt(2.0) * trig((j + 1) // 2 * np.pi * z)
+                out[:, j - first] = math.sqrt(2.0) * trig((j + 1) // 2 * np.pi * z)
     return out
 
 
 def _rescale(x: np.ndarray, lo: float, hi: float, axis_idx: int) -> np.ndarray:
     z = 2.0 * (x - lo) / (hi - lo) - 1.0
     bad = np.abs(z) > 1.0 + _BOUNDARY_SLACK
-    if np.any(bad):
+    if bad.any():
         row = int(np.argmax(bad))
         raise OutOfRange(
             f"covariate {axis_idx} out of range at row {row + 1}: value {float(x[row])}"
         )
-    return np.clip(z, -1.0, 1.0)
+    return np.minimum(np.maximum(z, -1.0), 1.0)
 
 
 def build_design(x_matrix, spec: BasisSpec) -> DesignMatrix:

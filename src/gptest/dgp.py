@@ -27,22 +27,29 @@ def expit(x):
 
 @dataclass
 class Dataset:
-    """Column-named observation matrix of finite floats."""
+    """Column-named observation matrix of finite floats: each column is
+    converted once to a 1-D float array, in place in ``columns``."""
 
     columns: dict[str, np.ndarray]
 
     def __post_init__(self):
         if not self.columns:
             raise SchemaError("dataset has no columns")
-        lengths = {name: len(np.asarray(v)) for name, v in self.columns.items()}
+        for name, values in self.columns.items():
+            try:
+                arr = np.asarray(values, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise SchemaError(f"column {name!r} is not numeric: {exc}") from None
+            if arr.ndim != 1:
+                raise SchemaError(f"column {name!r} must be 1-D, got shape {arr.shape}")
+            self.columns[name] = arr
+        lengths = {name: arr.size for name, arr in self.columns.items()}
         if len(set(lengths.values())) != 1:
             raise SchemaError(f"column lengths differ: {lengths}")
-        for name in self.columns:
-            arr = np.asarray(self.columns[name], dtype=float)
-            if not np.all(np.isfinite(arr)):
+        for name, arr in self.columns.items():
+            if not np.isfinite(arr).all():
                 row = int(np.argmax(~np.isfinite(arr)))
                 raise SchemaError(f"non-finite value in column {name!r} at row {row + 1}")
-            self.columns[name] = arr
 
     @property
     def n(self) -> int:
@@ -54,7 +61,12 @@ class Dataset:
         return self.columns[name]
 
     def covariate_matrix(self, names) -> np.ndarray:
-        return np.column_stack([self.col(name) for name in names])
+        """The named columns as a C-contiguous n x len(names) array: the bits
+        of every design built from it depend on that layout."""
+        out = np.empty((self.n, len(names)))
+        for j, name in enumerate(names):
+            out[:, j] = self.col(name)
+        return out
 
 
 @dataclass(frozen=True)
@@ -88,23 +100,20 @@ class PanelBConfig:
             raise InvalidConfig("beta1 and beta2 must be finite")
 
 
-def _panel_a_outcome_mean(x1, x2, s, a, alpha1, alpha2):
-    """E[Y | A=a, S=s, X]; misalignment terms enter only in the S=1 source.
+def _panel_a_shift(x1, x2, alpha1, alpha2):
+    """E[Y | A, S=1, X] - E[Y | A, S=0, X]: the misalignment terms, which
+    enter only in the S=1 source, for alpha1 or alpha2 nonzero.
 
-    A term whose factor (s, a, alpha1 or alpha2) is zero is left out: it
-    would only add a signed zero to a nonzero mean.
+    Callers add no shift when both are zero, and no treatment term in arm
+    0: a term with a zero factor would only add a signed zero to a
+    nonzero mean.
     """
-    mean = x1 + x2 + expit(x1)
-    if (alpha1 or alpha2) and np.any(s):
-        shift = 0.0
-        if alpha1:
-            shift = alpha1 * (np.cos(np.pi * x1) + np.cos(np.pi * x2))
-        if alpha2:
-            shift = shift + alpha2 * (x1 + x2)
-        mean = mean + s * shift
-    if a:
-        mean = mean + a * (2.0 * x1 - 2.0 * x2)
-    return mean
+    shift = 0.0
+    if alpha1:
+        shift = alpha1 * (np.cos(np.pi * x1) + np.cos(np.pi * x2))
+    if alpha2:
+        shift = shift + alpha2 * (x1 + x2)
+    return shift
 
 
 def gen_panel_a(cfg: PanelAConfig) -> Dataset:
@@ -116,7 +125,10 @@ def gen_panel_a(cfg: PanelAConfig) -> Dataset:
     p_a1 = s * expit(1.5 * x1 - 0.5 * x2) + (1.0 - s) * expit(x1 + 0.5 * x2)
     a = (rng.uniform(cfg.n) < p_a1).astype(float)
     eps = rng.normal(cfg.n)
-    y0 = _panel_a_outcome_mean(x1, x2, s, 0.0, cfg.alpha1, cfg.alpha2) + 0.5 * eps
+    mean = x1 + x2 + expit(x1)
+    if (cfg.alpha1 or cfg.alpha2) and s.any():
+        mean = mean + s * _panel_a_shift(x1, x2, cfg.alpha1, cfg.alpha2)
+    y0 = mean + 0.5 * eps
     y1 = y0 + 2.0 * x1 - 2.0 * x2
     y = np.where(a == 1.0, y1, y0)
     return Dataset(columns={"X1": x1, "X2": x2, "S": s, "A": a, "Y": y})
@@ -136,11 +148,16 @@ def oracle_nuisances_panel_a(cfg: PanelAConfig, a: int = 0) -> Callable[[np.ndar
         ps1 = expit(x1 - x2)
         pa1_s1 = expit(1.5 * x1 - 0.5 * x2)
         pa1_s0 = expit(x1 + 0.5 * x2)
+        mu_s0 = x1 + x2 + expit(x1)
+        mu_s1 = mu_s0 + _panel_a_shift(x1, x2, a1, a2) if a1 or a2 else mu_s0.copy()
+        if a:
+            effect = a * (2.0 * x1 - 2.0 * x2)
+            mu_s0, mu_s1 = mu_s0 + effect, mu_s1 + effect
         return {
             "pi_s1": ps1 * (pa1_s1 if a == 1 else 1.0 - pa1_s1),
             "pi_s0": (1.0 - ps1) * (pa1_s0 if a == 1 else 1.0 - pa1_s0),
-            "mu_s1": _panel_a_outcome_mean(x1, x2, 1.0, float(a), a1, a2),
-            "mu_s0": _panel_a_outcome_mean(x1, x2, 0.0, float(a), a1, a2),
+            "mu_s1": mu_s1,
+            "mu_s0": mu_s0,
         }
 
     return nuisances

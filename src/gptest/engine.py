@@ -11,6 +11,7 @@ Sigma-hat and comparing to the upper normal tail.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -98,16 +99,17 @@ def _calibrated(variant: str, a: np.ndarray, sig: np.ndarray, n: int,
     and Frobenius norm against the upper normal tail.  An identically
     zero Sigma-hat (every pseudo-outcome 0) has no scale to calibrate
     against."""
-    gamma = float(np.linalg.norm(sig))
+    flat = sig.ravel()
+    gamma = math.sqrt(flat @ flat)  # the Frobenius norm, as np.linalg.norm computes it
     if gamma == 0.0:
         raise DegenerateScale("Sigma-hat is identically zero")
-    s, rho = statistic(a, n), float(np.trace(sig))
+    s, rho = statistic(a, n), float(sig.trace())
     taus = t = None
     if variant == GP_UNSTANDARDIZED:
         taus = sym_eigen(sig).values
         p = chisq_mixture_sf(taus, s)
     else:
-        t = (s - rho) / (np.sqrt(2.0) * gamma)
+        t = (s - rho) / (math.sqrt(2.0) * gamma)
         p = normal_cdf(-t)  # the upper tail without the cancellation of 1 - cdf(t)
     return TestResult(
         method=variant, statistic=s, p_value=p, reject=p < config.alpha, J=a.size,
@@ -201,7 +203,7 @@ def _nested_moments(x: np.ndarray, g: np.ndarray, basis_specs) -> list:
         big, a, sig = moments[spec.family, spec.combination, spec.ranges]
         if spec.j_star < big.j_star:
             cols = nested_columns(big, spec.j_star)
-            a, sig = a[cols], sig[np.ix_(cols, cols)]
+            a, sig = a[cols], sig[cols[:, None], cols]
         out.append((a, sig))
     return out
 

@@ -15,9 +15,8 @@ from __future__ import annotations
 import concurrent.futures
 import ctypes
 import hashlib
+import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .basis import ADDITIVE, BasisSpec, LEGENDRE
 from .engine import (
@@ -119,8 +118,9 @@ def replication_seed(base_seed: int, panel: str, n: int, scenario, method: str |
 
 def _one_replication(task: tuple) -> list[bool]:
     """Generate one dataset, cross-fit it once, and return the decision of
-    every (method, J*) of the grid, method-major."""
-    cfg, n, scenario, seed = task
+    every (method, J*) of the grid, method-major, on the grid's basis specs
+    and test config."""
+    cfg, basis_specs, config, n, scenario, seed = task
     if cfg.panel == "A":
         dgp_cfg = PanelAConfig(n=n, alpha1=scenario[0], alpha2=scenario[1], seed=seed)
         data, kind = gen_panel_a(dgp_cfg), MEAN_EXCHANGEABILITY
@@ -131,12 +131,6 @@ def _one_replication(task: tuple) -> list[bool]:
         data, kind = gen_panel_b(dgp_cfg), IV_COMPATIBILITY
         oracle = oracle_nuisances_panel_b(dgp_cfg) if cfg.nuisance_mode == "oracle" else None
     score = ScoreSpec(kind=kind, nuisance_mode=cfg.nuisance_mode, oracle=oracle)
-    basis_specs = [
-        BasisSpec(family=cfg.basis_family, j_star=j_star, combination=cfg.combination,
-                  ranges=((-1.0, 1.0), (-1.0, 1.0)))
-        for j_star in cfg.j_star_list
-    ]
-    config = TestConfig(alpha=cfg.alpha, seed=seed)
     rng = RngStream(seed).spawn(1)  # fold assignment stream, distinct from the DGP's
     results = run_gp_tests(data, score, basis_specs, config, cfg.methods, K=cfg.K, rng=rng)
     return [bool(result.reject) for row in results for result in row]
@@ -170,8 +164,14 @@ def run_grid(cfg: SimGridConfig) -> RejectionTable:
     pool of that many worker processes.
     """
     datasets = [(n, scenario) for n in cfg.sample_sizes for scenario in cfg.scenarios]
+    basis_specs = [
+        BasisSpec(family=cfg.basis_family, j_star=j_star, combination=cfg.combination,
+                  ranges=((-1.0, 1.0), (-1.0, 1.0)))
+        for j_star in cfg.j_star_list
+    ]
+    config = TestConfig(alpha=cfg.alpha)  # its seed goes unread: each task passes its fold stream
     tasks = [
-        (cfg, n, scenario,
+        (cfg, basis_specs, config, n, scenario,
          replication_seed(cfg.base_seed, cfg.panel, n, scenario,
                           method=None, j_star=None, rep=rep))
         for n, scenario in datasets
@@ -186,11 +186,13 @@ def run_grid(cfg: SimGridConfig) -> RejectionTable:
                 max_workers=cfg.threads, initializer=keep_freed_memory) as executor:
             decisions = list(executor.map(_one_replication, tasks, chunksize=chunksize))
     R = cfg.replications
+    grid_cells = [(m, j) for m in cfg.methods for j in cfg.j_star_list]
     rows = []
     for i, (n, scenario) in enumerate(datasets):
-        rates = np.mean(decisions[i * R:(i + 1) * R], axis=0)
-        for k, (method, j_star) in enumerate((m, j) for m in cfg.methods for j in cfg.j_star_list):
-            rate = float(rates[k])
+        # integer counts over R, so each rate is k / R correctly rounded
+        hits = [sum(cell) for cell in zip(*decisions[i * R:(i + 1) * R])]
+        for (method, j_star), k in zip(grid_cells, hits):
+            rate = k / R
             rows.append({
                 "panel": cfg.panel,
                 "n": n,
@@ -200,7 +202,7 @@ def run_grid(cfg: SimGridConfig) -> RejectionTable:
                 "j_star": j_star,
                 "rejection_rate": rate,
                 "replications": R,
-                "mc_stderr": float(np.sqrt(rate * (1.0 - rate) / R)),
+                "mc_stderr": math.sqrt(rate * (1.0 - rate) / R),
             })
     return RejectionTable(rows)
 

@@ -42,11 +42,16 @@ class CrossFitResult:
 
 
 def with_intercept(x: np.ndarray) -> np.ndarray:
-    """Prepend a column of ones to a covariate vector or matrix."""
+    """Prepend a column of ones to a covariate vector or matrix.  The result
+    is C-contiguous: the BLAS summation order of every fit on it, and so
+    its bits, depend on that layout."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
-    return np.column_stack([np.ones(x.shape[0]), x])
+    out = np.empty((x.shape[0], x.shape[1] + 1))
+    out[:, 0] = 1.0
+    out[:, 1:] = x
+    return out
 
 
 def _solve_one(gram: np.ndarray, moment: np.ndarray) -> np.ndarray:
@@ -311,7 +316,7 @@ def crossfit(data: Dataset, spec: sc.ScoreSpec, K: int, rng: RngStream) -> Cross
         source, fold_of = "cross-fitting", folds.fold_of
         diagnostics = {"K": K, "nonconverged_fits": folds.nonconverged}
     pseudo = sc.evaluate_score(data, eta, spec)
-    if not np.all(np.isfinite(pseudo)):
+    if not np.isfinite(pseudo).all():
         raise InvalidInput(f"{source} produced non-finite pseudo-outcomes")
     return CrossFitResult(
         pseudo_outcomes=pseudo,

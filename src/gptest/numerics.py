@@ -29,7 +29,7 @@ def _as_sym(a) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise InvalidInput(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise InvalidInput("matrix has non-finite entries")
     return (a + a.T) / 2.0
 
@@ -165,7 +165,7 @@ def chisq_mixture_sf(weights, x: float) -> float:
     x = float(x)
     if w.ndim != 1 or w.size == 0:
         raise InvalidInput(f"mixture weights must be a nonempty vector, got shape {w.shape}")
-    if not (np.all(np.isfinite(w)) and np.isfinite(x)):
+    if not (np.isfinite(w).all() and math.isfinite(x)):
         raise InvalidInput("mixture weights and threshold must be finite")
     if w.min() < -1e-10 * np.abs(w).max():
         raise InvalidInput("mixture weights must be nonnegative")

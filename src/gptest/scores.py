@@ -100,7 +100,7 @@ class ScoreSpec:
         for role in self.ROLES[self.kind]:
             name = self.column(role)
             vals = data.col(name)
-            binary = bool(np.all((vals == 0.0) | (vals == 1.0)))
+            binary = bool(((vals == 0.0) | (vals == 1.0)).all())
             if not binary and role in ("s", "a", "z1", "z2"):
                 row = int(np.argmax((vals != 0.0) & (vals != 1.0)))
                 value = float(vals[row])
@@ -114,7 +114,7 @@ class ScoreSpec:
 
 
 def _clip_prob(p, clip):
-    return np.clip(p, clip, 1.0 - clip)
+    return np.minimum(np.maximum(p, clip), 1.0 - clip)
 
 
 def _clip_signed(x, floor):

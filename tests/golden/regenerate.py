@@ -1,5 +1,6 @@
 """Rewrite ``pvalues.json``: the p-value and decision of every method and
-J* of ``run_gp_tests`` on fixed datasets, and print each value that moved.
+J* of ``run_gp_tests`` on fixed datasets, and the rates CSV of each golden
+grid config, and print each value and row that moved.
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
@@ -7,8 +8,12 @@ The cases cover Panel A (n = 500) and Panel B (n = 1000) under oracle
 and cross-fit nuisances, plus the parametric-specification and
 conditional-covariance scores on Panel A data, the latter with a
 continuous and with a 0/1 outcome; each runs on additive Legendre and
-tensor Fourier bases with J* = 3 and 5, on dataset seeds 0-2.
-``tests/test_golden.py`` compares the file with a fresh computation.
+tensor Fourier bases with J* = 3 and 5, on dataset seeds 0-2.  The grids
+(``grid_*.cfg``) run ``run_grid`` at 1 thread: Panel A oracle and cross-fit
+at n = 250, Panel B cross-fit on a tensor Fourier basis at n = 400, each
+with R = 100, so they pin the replication seeds and the pairing of methods
+and J* on one dataset.  ``tests/test_golden.py`` compares the files with a
+fresh computation.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from gptest import (
     BasisSpec, PanelAConfig, PanelBConfig, ScoreSpec, TestConfig, gen_panel_a, gen_panel_b,
     oracle_nuisances_panel_a, oracle_nuisances_panel_b, run_gp_tests,
 )
+from gptest.harness import run_grid, sim_config_from_text
 
 PATH = Path(__file__).with_name("pvalues.json")
 METHODS = ("gp_standardized", "gp_unstandardized", "wald")
@@ -38,6 +44,7 @@ SCORES = (
     ("A_condcov_binary_y", "A", "conditional_covariance", {"y": "A", "z": "S"}, "crossfit"),
 )
 SCORE_NAMES = tuple(row[0] for row in SCORES)
+GRID_NAMES = ("grid_a_oracle", "grid_a_crossfit", "grid_b_crossfit")
 
 
 def compute(score_name: str) -> dict:
@@ -64,6 +71,13 @@ def compute(score_name: str) -> dict:
     return out
 
 
+def write_grid(grid_name: str, path: Path) -> None:
+    """Run golden grid ``grid_name`` through ``run_grid`` at 1 thread and
+    write its rates CSV to ``path``."""
+    text = PATH.with_name(f"{grid_name}.cfg").read_text()
+    run_grid(sim_config_from_text(text, {"threads": 1})).to_csv(str(path))
+
+
 def main() -> int:
     new = {}
     for name in SCORE_NAMES:
@@ -77,6 +91,17 @@ def main() -> int:
     lines = (f" {json.dumps(key)}: {json.dumps(value)}" for key, value in new.items())
     PATH.write_text("{\n" + ",\n".join(lines) + "\n}\n")
     print(f"wrote {len(new)} values to {PATH.name}; {moved} moved")
+    for grid_name in GRID_NAMES:
+        path = PATH.with_name(f"{grid_name}.csv")
+        old_rows = path.read_text().splitlines() if path.exists() else []
+        write_grid(grid_name, path)
+        new_rows = path.read_text().splitlines()
+        moved = [(i, a, b) for i, (a, b) in enumerate(zip(old_rows, new_rows)) if a != b]
+        for i, a, b in moved:
+            print(f"{path.name} row {i}: {a} -> {b}")
+        if len(old_rows) != len(new_rows):
+            print(f"{path.name}: {len(old_rows)} rows -> {len(new_rows)}")
+        print(f"wrote {len(new_rows) - 1} rows to {path.name}; {len(moved)} moved")
     return 0
 
 

@@ -34,6 +34,28 @@ class TestDataset:
         with pytest.raises(SchemaError, match="'S'"):
             d.col("S")
 
+    @pytest.mark.parametrize("columns, message", [
+        ({"X": 1.0, "Y": 2.0}, r"column 'X' must be 1-D, got shape \(\)"),
+        ({"X": [1, 2], "Y": ["a", "b"]}, "column 'Y' is not numeric"),
+        ({"X": np.zeros((3, 2)), "Y": np.zeros(3)}, r"column 'X' must be 1-D, got shape \(3, 2\)"),
+    ], ids=["scalar", "strings", "matrix"])
+    def test_column_not_a_vector_of_numbers(self, columns, message):
+        with pytest.raises(SchemaError, match=message):
+            Dataset(columns=columns)
+
+    @pytest.mark.parametrize("n", [0, 1000])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_covariate_matrix_layout(self, n, k):
+        """C-contiguous float64, equal to np.column_stack: the bits of every
+        design built from it depend on that layout."""
+        rng = np.random.default_rng(k)
+        columns = {f"X{j}": rng.uniform(-1.0, 1.0, n) for j in range(k)}
+        columns["Y"] = rng.normal(size=n)
+        names = tuple(reversed([f"X{j}" for j in range(k)]))
+        x = Dataset(columns=dict(columns)).covariate_matrix(names)
+        assert x.dtype == np.float64 and x.flags.c_contiguous
+        assert np.array_equal(x, np.column_stack([columns[name] for name in names]))
+
 
 class TestPanelA:
     def test_deterministic(self):

@@ -1,13 +1,14 @@
 """``run_gp_tests`` still gives the p-values and decisions recorded in
 ``golden/pvalues.json``: decisions exactly, p-values within 1e-12
-relative, since another numpy or BLAS may differ in the last bits.
-``golden/regenerate.py`` rewrites the file and prints what moved."""
+relative, since another numpy or BLAS may differ in the last bits.  And
+``run_grid`` still writes each golden grid's rates CSV byte for byte.
+``golden/regenerate.py`` rewrites the files and prints what moved."""
 
 import json
 
 import pytest
 
-from golden.regenerate import PATH, SCORE_NAMES, compute
+from golden.regenerate import GRID_NAMES, PATH, SCORE_NAMES, compute, write_grid
 
 GOLDEN = json.loads(PATH.read_text())
 
@@ -26,3 +27,10 @@ def test_pvalues_match_golden(score_name):
         if got[key][1] != want[key][1] or abs(got[key][0] - want[key][0]) > 1e-12 * want[key][0]
     ]
     assert moved == []
+
+
+@pytest.mark.parametrize("grid_name", GRID_NAMES)
+def test_rates_csv_matches_golden(grid_name, tmp_path):
+    got = tmp_path / f"{grid_name}.csv"
+    write_grid(grid_name, got)
+    assert got.read_bytes().split(b"\n") == PATH.with_name(f"{grid_name}.csv").read_bytes().split(b"\n")

@@ -32,6 +32,19 @@ def logistic(features, y):
     return beta[0], bool(converged[0])
 
 
+@pytest.mark.parametrize("n", [0, 1000])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_with_intercept_layout(n, k):
+    """C-contiguous float64, equal to np.column_stack, also from an
+    F-ordered input: the bits of every fit depend on that layout."""
+    x = np.asfortranarray(np.random.default_rng(k).uniform(-1.0, 1.0, size=(n, k)))
+    got = with_intercept(x)
+    assert got.dtype == np.float64 and got.flags.c_contiguous
+    assert np.array_equal(got, np.column_stack([np.ones(n), x]))
+    if k == 1:
+        assert np.array_equal(with_intercept(x[:, 0]), got)
+
+
 class TestFitOls:
     def test_exact_linear_data(self):
         x = np.linspace(-1, 1, 50)
