@@ -22,6 +22,8 @@ from .dgp import (
     oracle_nuisances_panel_a,
     oracle_nuisances_panel_b,
     read_csv,
+    sample_panel_a,
+    sample_panel_b,
     write_csv,
 )
 from .harness import RejectionTable, SimGridConfig, run_grid
@@ -40,6 +42,7 @@ __all__ = [
     "Dataset", "PanelAConfig", "PanelBConfig",
     "gen_panel_a", "gen_panel_b",
     "oracle_nuisances_panel_a", "oracle_nuisances_panel_b",
+    "sample_panel_a", "sample_panel_b",
     "read_csv", "write_csv",
     "RejectionTable", "SimGridConfig", "run_grid",
     "crossfit", "make_folds",

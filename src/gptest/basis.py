@@ -84,24 +84,26 @@ def _axis_design(family: str, z: np.ndarray, j_star: int, out=None, first: int =
     """b_first(z), ..., b_{J*-1}(z) for z in [-1, 1], written into the
     columns of ``out`` (n x (J* - first), new if not given).
 
-    Legendre columns are sqrt(2j+1) P_j(z), every degree from one pass of
-    the three-term recurrence; Fourier columns are one cos or sin call each.
+    The constant b_0 = 1 is written only when ``first`` is 0.  Legendre
+    columns are sqrt(2j+1) P_j(z), every degree from one pass of the
+    three-term recurrence; Fourier columns are one cos or sin call each.
     """
     if out is None:
         out = np.empty((z.shape[0], j_star - first))
+    if first == 0:
+        out[:, 0] = 1.0
     if family == LEGENDRE:
-        p = [np.ones_like(z), z][:j_star]
-        for k in range(1, j_star - 1):
+        p = [None, z]  # P_0 = 1 enters only P_2, whose recurrence step is spelled out
+        if j_star > 2:
+            p.append((3 * z * z - 1.0) / 2)
+        for k in range(2, j_star - 1):
             p.append(((2 * k + 1) * z * p[k] - k * p[k - 1]) / (k + 1))
-        for j in range(first, j_star):
+        for j in range(max(first, 1), j_star):
             np.multiply(math.sqrt(2.0 * j + 1.0), p[j], out=out[:, j - first])
     else:
-        for j in range(first, j_star):
-            if j == 0:
-                out[:, 0] = 1.0
-            else:
-                trig = np.cos if j % 2 == 1 else np.sin
-                out[:, j - first] = math.sqrt(2.0) * trig((j + 1) // 2 * np.pi * z)
+        for j in range(max(first, 1), j_star):
+            trig = np.cos if j % 2 == 1 else np.sin
+            out[:, j - first] = math.sqrt(2.0) * trig((j + 1) // 2 * np.pi * z)
     return out
 
 

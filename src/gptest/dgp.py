@@ -4,7 +4,9 @@ Panel A: two-source data fusion with a binary treatment, used for the
 mean-exchangeability test.  Panel B: two binary instruments with five
 principal strata, used for the compatibility test.  Both generators
 ship analytic (oracle) nuisances: one function of the covariate matrix
-that returns every nuisance's array.
+that returns every nuisance's array.  Each panel's sampler and oracle
+read one helper of its conditional laws, so ``sample_panel_*`` can hand
+back the oracle's arrays at the sample's X from the draw's own arrays.
 """
 
 from __future__ import annotations
@@ -100,38 +102,67 @@ class PanelBConfig:
             raise InvalidConfig("beta1 and beta2 must be finite")
 
 
-def _panel_a_shift(x1, x2, alpha1, alpha2):
-    """E[Y | A, S=1, X] - E[Y | A, S=0, X]: the misalignment terms, which
-    enter only in the S=1 source, for alpha1 or alpha2 nonzero.
+def _panel_a_laws(x1, x2, cfg: PanelAConfig) -> tuple:
+    """(x1, x2) and Panel A's conditional laws there, which the sampler draws
+    from and the oracle is built from: P(S=1|X), P(A=1|S=1,X), P(A=1|S=0,X),
+    E[Y(0)|S=0,X] and the S=1 shift E[Y|A,S=1,X] - E[Y|A,S=0,X].
 
-    Callers add no shift when both are zero, and no treatment term in arm
-    0: a term with a zero factor would only add a signed zero to a
-    nonzero mean.
+    The shift's misalignment terms enter only for a nonzero alpha1 or
+    alpha2, so with both zero it is 0.0: a term with a zero factor would
+    only add a signed zero to a nonzero mean.
     """
     shift = 0.0
-    if alpha1:
-        shift = alpha1 * (np.cos(np.pi * x1) + np.cos(np.pi * x2))
-    if alpha2:
-        shift = shift + alpha2 * (x1 + x2)
-    return shift
+    if cfg.alpha1:
+        shift = cfg.alpha1 * (np.cos(np.pi * x1) + np.cos(np.pi * x2))
+    if cfg.alpha2:
+        shift = shift + cfg.alpha2 * (x1 + x2)
+    mean = x1 + x2 + expit(x1)
+    return x1, x2, expit(x1 - x2), expit(1.5 * x1 - 0.5 * x2), expit(x1 + 0.5 * x2), mean, shift
+
+
+def _panel_a_bundle(laws: tuple, a: int) -> dict:
+    """Arm ``a``'s nuisances from the laws at their (x1, x2); no treatment term in arm 0."""
+    x1, x2, ps1, pa1_s1, pa1_s0, mu_s0, shift = laws
+    mu_s1 = mu_s0 + shift
+    if a:
+        effect = a * (2.0 * x1 - 2.0 * x2)
+        mu_s0, mu_s1 = mu_s0 + effect, mu_s1 + effect
+    return {
+        "pi_s1": ps1 * (pa1_s1 if a == 1 else 1.0 - pa1_s1),
+        "pi_s0": (1.0 - ps1) * (pa1_s0 if a == 1 else 1.0 - pa1_s0),
+        "mu_s1": mu_s1,
+        "mu_s0": mu_s0,
+    }
+
+
+def _draw_panel_a(cfg: PanelAConfig) -> tuple[Dataset, tuple]:
+    """The Panel A sample and the laws it was drawn from."""
+    rng = RngStream(cfg.seed)
+    x1 = 2.0 * rng.uniform(cfg.n) - 1.0
+    x2 = 2.0 * rng.uniform(cfg.n) - 1.0
+    laws = _panel_a_laws(x1, x2, cfg)
+    _, _, ps1, pa1_s1, pa1_s0, mean, shift = laws
+    s = (rng.uniform(cfg.n) < ps1).astype(float)
+    a = (rng.uniform(cfg.n) < np.where(s == 1.0, pa1_s1, pa1_s0)).astype(float)
+    eps = rng.normal(cfg.n)
+    if cfg.alpha1 or cfg.alpha2:
+        mean = mean + s * shift
+    y0 = mean + 0.5 * eps
+    y1 = y0 + 2.0 * x1 - 2.0 * x2
+    y = np.where(a == 1.0, y1, y0)
+    return Dataset(columns={"X1": x1, "X2": x2, "S": s, "A": a, "Y": y}), laws
 
 
 def gen_panel_a(cfg: PanelAConfig) -> Dataset:
     """Two-source data fusion sample: columns (X1, X2, S, A, Y)."""
-    rng = RngStream(cfg.seed)
-    x1 = 2.0 * rng.uniform(cfg.n) - 1.0
-    x2 = 2.0 * rng.uniform(cfg.n) - 1.0
-    s = (rng.uniform(cfg.n) < expit(x1 - x2)).astype(float)
-    p_a1 = s * expit(1.5 * x1 - 0.5 * x2) + (1.0 - s) * expit(x1 + 0.5 * x2)
-    a = (rng.uniform(cfg.n) < p_a1).astype(float)
-    eps = rng.normal(cfg.n)
-    mean = x1 + x2 + expit(x1)
-    if (cfg.alpha1 or cfg.alpha2) and s.any():
-        mean = mean + s * _panel_a_shift(x1, x2, cfg.alpha1, cfg.alpha2)
-    y0 = mean + 0.5 * eps
-    y1 = y0 + 2.0 * x1 - 2.0 * x2
-    y = np.where(a == 1.0, y1, y0)
-    return Dataset(columns={"X1": x1, "X2": x2, "S": s, "A": a, "Y": y})
+    return _draw_panel_a(cfg)[0]
+
+
+def sample_panel_a(cfg: PanelAConfig, a: int = 0) -> tuple[Dataset, dict]:
+    """``gen_panel_a(cfg)`` and ``oracle_nuisances_panel_a(cfg, a)`` at its
+    X, built from the arrays the draw already computed."""
+    data, laws = _draw_panel_a(cfg)
+    return data, _panel_a_bundle(laws, a)
 
 
 def oracle_nuisances_panel_a(cfg: PanelAConfig, a: int = 0) -> Callable[[np.ndarray], dict]:
@@ -141,26 +172,7 @@ def oracle_nuisances_panel_a(cfg: PanelAConfig, a: int = 0) -> Callable[[np.ndar
     n-vectors: pi_s1/pi_s0 = P(A=a, S=s | X) and mu_s1/mu_s0 =
     E[Y | A=a, S=s, X].
     """
-    a1, a2 = cfg.alpha1, cfg.alpha2
-
-    def nuisances(x):
-        x1, x2 = x[:, 0], x[:, 1]
-        ps1 = expit(x1 - x2)
-        pa1_s1 = expit(1.5 * x1 - 0.5 * x2)
-        pa1_s0 = expit(x1 + 0.5 * x2)
-        mu_s0 = x1 + x2 + expit(x1)
-        mu_s1 = mu_s0 + _panel_a_shift(x1, x2, a1, a2) if a1 or a2 else mu_s0.copy()
-        if a:
-            effect = a * (2.0 * x1 - 2.0 * x2)
-            mu_s0, mu_s1 = mu_s0 + effect, mu_s1 + effect
-        return {
-            "pi_s1": ps1 * (pa1_s1 if a == 1 else 1.0 - pa1_s1),
-            "pi_s0": (1.0 - ps1) * (pa1_s0 if a == 1 else 1.0 - pa1_s0),
-            "mu_s1": mu_s1,
-            "mu_s0": mu_s0,
-        }
-
-    return nuisances
+    return lambda x: _panel_a_bundle(_panel_a_laws(x[:, 0], x[:, 1], cfg), a)
 
 
 def _stratum_probs(x1, x2):
@@ -182,6 +194,12 @@ def _stratum_probs(x1, x2):
     )
     w = np.exp(logw - logw.max(axis=1, keepdims=True))
     return w / w.sum(axis=1, keepdims=True)
+
+
+# P(stratum | X) of each (X1 > 0, X2 > 0) cell, in row 2*(X1 > 0) + (X2 > 0),
+# and its cumulative sums; a per-row softmax gives the same bits
+_STRATUM_TABLE = _stratum_probs(np.array([0.0, 0, 1, 1]), np.array([0.0, 1, 0, 1]))
+_STRATUM_CUMULATIVE = np.cumsum(_STRATUM_TABLE, axis=1)
 
 
 def _treatment_from_stratum(z1, z2, stratum):
@@ -211,29 +229,72 @@ def _u_sd(cfg: PanelBConfig) -> float:
     return np.sqrt(0.3) if cfg.u_param == "var" else 0.3
 
 
-def gen_panel_b(cfg: PanelBConfig) -> Dataset:
-    """Two-instrument principal-strata sample: columns (X1, X2, Z1, Z2, D, Y)."""
+def _panel_b_laws(x1, x2, cfg: PanelBConfig) -> tuple:
+    """(x1, x2) and Panel B's conditional laws there, which the sampler draws
+    from and the oracle is built from: P(Z1=1|X), P(Z2=1|X), each row's
+    (X1 > 0, X2 > 0) cell, which picks its row of ``_STRATUM_TABLE``, and
+    the SCO2 effect."""
+    return (x1, x2, expit(0.5 + 0.5 * x1 + 0.5 * x2), expit(0.5 + 0.5 * x1 - 0.5 * x2),
+            2 * (x1 > 0) + (x2 > 0), _sco2_effect(x1, x2, cfg.beta1, cfg.beta2))
+
+
+def _panel_b_bundle(laws: tuple) -> dict:
+    """The IV nuisances from the laws at their (x1, x2); see ``oracle_nuisances_panel_b``."""
+    x1, x2, pz1, pz2, cell, eff_sco2 = laws
+    _, p_sco1, p_sco2, p_rco, p_eco = np.take(_STRATUM_TABLE, cell, axis=0).T
+    base = 1.0 + x1 + x2 - 0.3
+    eff_lin = -2.0 * x1
+    bundle = {}
+    for j, own, other in ((1, pz1, pz2), (2, pz2, pz1)):
+        bundle[f"pz{j}"] = own
+        for z in (0, 1):
+            d_own = float(z)
+            d_sco1, d_sco2 = (d_own, other) if j == 1 else (other, d_own)
+            d_rco = d_own * other
+            d_eco = d_own + (1.0 - d_own) * other
+            bundle[f"mu_d{j}_{z}"] = (
+                p_sco1 * d_sco1 + p_sco2 * d_sco2 + p_rco * d_rco + p_eco * d_eco
+            )
+            bundle[f"mu_y{j}_{z}"] = base + (
+                (p_sco1 * d_sco1 + p_rco * d_rco + p_eco * d_eco) * eff_lin
+                + p_sco2 * d_sco2 * eff_sco2
+            )
+    return bundle
+
+
+def _draw_panel_b(cfg: PanelBConfig) -> tuple[Dataset, tuple]:
+    """The Panel B sample and the laws it was drawn from."""
     rng = RngStream(cfg.seed)
     n = cfg.n
     x1 = 2.0 * rng.uniform(n) - 1.0
     x2 = 2.0 * rng.uniform(n) - 1.0
-    z1 = (rng.uniform(n) < expit(0.5 + 0.5 * x1 + 0.5 * x2)).astype(float)
-    z2 = (rng.uniform(n) < expit(0.5 + 0.5 * x1 - 0.5 * x2)).astype(float)
+    laws = _panel_b_laws(x1, x2, cfg)
+    _, _, pz1, pz2, cell, eff_sco2 = laws
+    z1 = (rng.uniform(n) < pz1).astype(float)
+    z2 = (rng.uniform(n) < pz2).astype(float)
     u = -0.3 + _u_sd(cfg) * rng.normal(n)
-    # each row's cumulative stratum probabilities, by its (X1 > 0, X2 > 0) cell
-    table = np.cumsum(_stratum_probs(np.array([0.0, 0, 1, 1]), np.array([0.0, 1, 0, 1])), axis=1)
-    cumulative = np.take(table, 2 * (x1 > 0) + (x2 > 0), axis=0)
-    stratum = (rng.uniform(n)[:, None] >= cumulative).sum(axis=1)
+    # a row's stratum counts the cumulative probabilities of its cell that its draw reaches
+    draw = rng.uniform(n)
+    cumulative = np.take(_STRATUM_CUMULATIVE, cell, axis=0)
+    stratum = sum(draw >= column for column in cumulative.T)
     d = _treatment_from_stratum(z1, z2, stratum)
     eps = rng.normal(n)
     y0 = 1.0 + x1 + x2 + u + eps
-    effect = np.where(
-        stratum == 0,
-        0.0,
-        np.where(stratum == 2, _sco2_effect(x1, x2, cfg.beta1, cfg.beta2), -2.0 * x1),
-    )
+    effect = np.where(stratum == 0, 0.0, np.where(stratum == 2, eff_sco2, -2.0 * x1))
     y = d * (y0 + effect) + (1.0 - d) * y0
-    return Dataset(columns={"X1": x1, "X2": x2, "Z1": z1, "Z2": z2, "D": d, "Y": y})
+    return Dataset(columns={"X1": x1, "X2": x2, "Z1": z1, "Z2": z2, "D": d, "Y": y}), laws
+
+
+def gen_panel_b(cfg: PanelBConfig) -> Dataset:
+    """Two-instrument principal-strata sample: columns (X1, X2, Z1, Z2, D, Y)."""
+    return _draw_panel_b(cfg)[0]
+
+
+def sample_panel_b(cfg: PanelBConfig) -> tuple[Dataset, dict]:
+    """``gen_panel_b(cfg)`` and ``oracle_nuisances_panel_b(cfg)`` at its X,
+    built from the arrays the draw already computed."""
+    data, laws = _draw_panel_b(cfg)
+    return data, _panel_b_bundle(laws)
 
 
 def oracle_nuisances_panel_b(cfg: PanelBConfig) -> Callable[[np.ndarray], dict]:
@@ -249,33 +310,7 @@ def oracle_nuisances_panel_b(cfg: PanelBConfig) -> Callable[[np.ndarray], dict]:
     compliers), that propensity (the other's strict compliers), z times
     it (RCO) or z + (1 - z) times it (ECO).
     """
-    b1, b2 = cfg.beta1, cfg.beta2
-
-    def nuisances(x):
-        x1, x2 = x[:, 0], x[:, 1]
-        _, p_sco1, p_sco2, p_rco, p_eco = _stratum_probs(x1, x2).T
-        pz = {1: expit(0.5 + 0.5 * x1 + 0.5 * x2), 2: expit(0.5 + 0.5 * x1 - 0.5 * x2)}
-        base = 1.0 + x1 + x2 - 0.3
-        eff_lin = -2.0 * x1
-        eff_sco2 = _sco2_effect(x1, x2, b1, b2)
-        bundle = {}
-        for j, other in ((1, pz[2]), (2, pz[1])):
-            bundle[f"pz{j}"] = pz[j]
-            for z in (0, 1):
-                d_own = float(z)
-                d_sco1, d_sco2 = (d_own, other) if j == 1 else (other, d_own)
-                d_rco = d_own * other
-                d_eco = d_own + (1.0 - d_own) * other
-                bundle[f"mu_d{j}_{z}"] = (
-                    p_sco1 * d_sco1 + p_sco2 * d_sco2 + p_rco * d_rco + p_eco * d_eco
-                )
-                bundle[f"mu_y{j}_{z}"] = base + (
-                    (p_sco1 * d_sco1 + p_rco * d_rco + p_eco * d_eco) * eff_lin
-                    + p_sco2 * d_sco2 * eff_sco2
-                )
-        return bundle
-
-    return nuisances
+    return lambda x: _panel_b_bundle(_panel_b_laws(x[:, 0], x[:, 1], cfg))
 
 
 # rows formatted per write; blocks of 256 to 16,384 rows write at about

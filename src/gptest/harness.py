@@ -33,8 +33,8 @@ from .dgp import (
     PanelBConfig,
     gen_panel_a,
     gen_panel_b,
-    oracle_nuisances_panel_a,
-    oracle_nuisances_panel_b,
+    sample_panel_a,
+    sample_panel_b,
 )
 from .nuisance import check_folds
 from .numerics import RngStream
@@ -123,13 +123,17 @@ def _one_replication(task: tuple) -> list[bool]:
     cfg, basis_specs, config, n, scenario, seed = task
     if cfg.panel == "A":
         dgp_cfg = PanelAConfig(n=n, alpha1=scenario[0], alpha2=scenario[1], seed=seed)
-        data, kind = gen_panel_a(dgp_cfg), MEAN_EXCHANGEABILITY
-        oracle = oracle_nuisances_panel_a(dgp_cfg, a=0) if cfg.nuisance_mode == "oracle" else None
+        gen, sample, kind = gen_panel_a, sample_panel_a, MEAN_EXCHANGEABILITY
     else:
         dgp_cfg = PanelBConfig(n=n, beta1=scenario[0], beta2=scenario[1], seed=seed,
                                u_param=cfg.u_param)
-        data, kind = gen_panel_b(dgp_cfg), IV_COMPATIBILITY
-        oracle = oracle_nuisances_panel_b(dgp_cfg) if cfg.nuisance_mode == "oracle" else None
+        gen, sample, kind = gen_panel_b, sample_panel_b, IV_COMPATIBILITY
+    if cfg.nuisance_mode == "oracle":
+        # the oracle's values at the sample's X, from the laws the draw evaluated
+        data, bundle = sample(dgp_cfg)
+        oracle = lambda x: bundle
+    else:
+        data, oracle = gen(dgp_cfg), None
     score = ScoreSpec(kind=kind, nuisance_mode=cfg.nuisance_mode, oracle=oracle)
     rng = RngStream(seed).spawn(1)  # fold assignment stream, distinct from the DGP's
     results = run_gp_tests(data, score, basis_specs, config, cfg.methods, K=cfg.K, rng=rng)

@@ -38,6 +38,7 @@ class CrossFitResult:
     pseudo_outcomes: np.ndarray
     fold_of: np.ndarray | None  # fold index of each row; None in oracle mode
     nuisances: dict[str, np.ndarray]  # out-of-fold value of each nuisance per row
+    covariates: np.ndarray  # the n x d covariate matrix the nuisances were fit or evaluated at
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -322,5 +323,6 @@ def crossfit(data: Dataset, spec: sc.ScoreSpec, K: int, rng: RngStream) -> Cross
         pseudo_outcomes=pseudo,
         fold_of=fold_of,
         nuisances=eta,
+        covariates=x,
         diagnostics={**diagnostics, **sc.clip_diagnostics(eta, spec)},
     )

@@ -215,5 +215,5 @@ def chi2_sf(x: float, df: int) -> float:
     h, odd = x / 2.0, df % 2
     terms = [math.erfc(math.sqrt(h)) if odd else math.exp(-h)]
     terms += [math.exp(a * math.log(h) - h - math.lgamma(a + 1.0))
-              for a in np.arange(1.0 - 0.5 * odd, df / 2.0)]
+              for a in (k - 0.5 * odd for k in range(1, (int(df) + 1) // 2))]
     return math.fsum(terms)

@@ -10,10 +10,11 @@ conditional-covariance scores on Panel A data, the latter with a
 continuous and with a 0/1 outcome; each runs on additive Legendre and
 tensor Fourier bases with J* = 3 and 5, on dataset seeds 0-2.  The grids
 (``grid_*.cfg``) run ``run_grid`` at 1 thread: Panel A oracle and cross-fit
-at n = 250, Panel B cross-fit on a tensor Fourier basis at n = 400, each
-with R = 100, so they pin the replication seeds and the pairing of methods
-and J* on one dataset.  ``tests/test_golden.py`` compares the files with a
-fresh computation.
+at n = 250, Panel B oracle at n = 400, and Panel B cross-fit on a tensor
+Fourier basis at n = 400, each with R = 100, so they pin the replication
+seeds, the pairing of methods and J* on one dataset, and the oracle
+bundles the samplers hand the harness.  ``tests/test_golden.py`` compares
+the files with a fresh computation.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ SCORES = (
     ("A_condcov_binary_y", "A", "conditional_covariance", {"y": "A", "z": "S"}, "crossfit"),
 )
 SCORE_NAMES = tuple(row[0] for row in SCORES)
-GRID_NAMES = ("grid_a_oracle", "grid_a_crossfit", "grid_b_crossfit")
+GRID_NAMES = ("grid_a_oracle", "grid_a_crossfit", "grid_b_oracle", "grid_b_crossfit")
 
 
 def compute(score_name: str) -> dict:

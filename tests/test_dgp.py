@@ -8,6 +8,7 @@ from gptest.dgp import (
     Dataset,
     PanelAConfig,
     PanelBConfig,
+    _STRATUM_TABLE,
     _sco2_effect,
     _stratum_probs,
     _treatment_from_stratum,
@@ -17,6 +18,8 @@ from gptest.dgp import (
     oracle_nuisances_panel_a,
     oracle_nuisances_panel_b,
     read_csv,
+    sample_panel_a,
+    sample_panel_b,
     write_csv,
 )
 from gptest.errors import SchemaError
@@ -159,6 +162,22 @@ class TestAllTermsReference:
         for key, values in expected.items():
             assert np.array_equal(bundle[key], values), key
 
+    @pytest.mark.parametrize("arm", [0, 1])
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_sampler_bundle_is_the_oracle_at_the_sample(self, alpha, arm):
+        """``sample_panel_a`` draws ``gen_panel_a``'s sample, and its bundle,
+        built from the draw's own arrays, is the oracle's at that X."""
+        cfg = PanelAConfig(n=2000, alpha1=alpha[0], alpha2=alpha[1], seed=12)
+        data, bundle = sample_panel_a(cfg, arm)
+        expected = gen_panel_a(cfg)
+        assert list(data.columns) == list(expected.columns)
+        for name, column in expected.columns.items():
+            assert data.col(name).tobytes() == column.tobytes(), name
+        oracle = oracle_nuisances_panel_a(cfg, arm)(data.covariate_matrix(("X1", "X2")))
+        assert list(bundle) == list(oracle)
+        for key, values in oracle.items():
+            assert bundle[key].tobytes() == values.tobytes(), key
+
     @pytest.mark.parametrize("beta", [(0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (0.5, -0.3)])
     def test_panel_b_sco2_effect(self, beta):
         """Panel B's generator and oracle share this effect; it skips zero terms too."""
@@ -166,6 +185,18 @@ class TestAllTermsReference:
         cosines = np.cos(np.pi * x1) + np.cos(np.pi * x2)
         expected = -2.0 * x1 + beta[0] * cosines + beta[1] * (x1 + x2)
         assert np.array_equal(_sco2_effect(x1, x2, *beta), expected)
+
+
+PANEL_B_DRAWS = [
+    (0, (0.0, 0.0), "var"),
+    (1, (0.0, 0.0), "sd"),
+    (2, (0.5, 0.0), "var"),
+    (3, (0.0, 0.5), "sd"),
+    (4, (0.5, 0.5), "var"),
+    (5, (0.5, -0.3), "sd"),
+    (6, (-1.0, 2.0), "var"),
+    (7, (1.0, 1.0), "sd"),
+]
 
 
 class TestPanelB:
@@ -262,19 +293,7 @@ class TestPanelB:
         for key, values in expected.items():
             np.testing.assert_allclose(bundle[key], values, rtol=0.0, atol=1e-12, err_msg=key)
 
-    @pytest.mark.parametrize(
-        "seed, beta, u_param",
-        [
-            (0, (0.0, 0.0), "var"),
-            (1, (0.0, 0.0), "sd"),
-            (2, (0.5, 0.0), "var"),
-            (3, (0.0, 0.5), "sd"),
-            (4, (0.5, 0.5), "var"),
-            (5, (0.5, -0.3), "sd"),
-            (6, (-1.0, 2.0), "var"),
-            (7, (1.0, 1.0), "sd"),
-        ],
-    )
+    @pytest.mark.parametrize("seed, beta, u_param", PANEL_B_DRAWS)
     def test_generator_matches_per_row_softmax_draw(self, seed, beta, u_param):
         """The stratum table lookup draws the same sample as a per-row softmax."""
         cfg = PanelBConfig(n=3000, beta1=beta[0], beta2=beta[1], seed=seed, u_param=u_param)
@@ -284,6 +303,33 @@ class TestPanelB:
         assert list(data.columns) == list(expected)
         for name, column in expected.items():
             assert data.col(name).tobytes() == column.tobytes(), name
+
+    @pytest.mark.parametrize("seed, beta, u_param", PANEL_B_DRAWS)
+    def test_sampler_bundle_is_the_oracle_at_the_sample(self, seed, beta, u_param):
+        """``sample_panel_b`` draws ``gen_panel_b``'s sample, and its bundle,
+        built from the draw's own arrays, is the oracle's at that X."""
+        cfg = PanelBConfig(n=3000, beta1=beta[0], beta2=beta[1], seed=seed, u_param=u_param)
+        data, bundle = sample_panel_b(cfg)
+        expected = gen_panel_b(cfg)
+        assert list(data.columns) == list(expected.columns)
+        for name, column in expected.columns.items():
+            assert data.col(name).tobytes() == column.tobytes(), name
+        oracle = oracle_nuisances_panel_b(cfg)(data.covariate_matrix(("X1", "X2")))
+        assert list(bundle) == list(oracle)
+        for key, values in oracle.items():
+            assert bundle[key].tobytes() == values.tobytes(), key
+
+    @pytest.mark.parametrize("n", [10, 3000, 100_000])
+    def test_stratum_table_rows_are_the_per_row_softmax(self, n):
+        """Taking each row's probabilities from the 4-cell table gives the
+        per-row softmax's bits, in all four cells and with X1 or X2 at 0."""
+        x1, x2 = np.random.default_rng(15).uniform(-1, 1, size=(2, n))
+        x1[:4], x2[:4] = [0.0, 0.0, 0.5, -0.5], [0.5, -0.5, 0.0, 0.0]
+        x1[4], x2[4] = 0.0, 0.0
+        cell = 2 * (x1 > 0) + (x2 > 0)
+        assert set(cell) == {0, 1, 2, 3}
+        taken = np.take(_STRATUM_TABLE, cell, axis=0)
+        assert taken.tobytes() == _stratum_probs(x1, x2).tobytes()
 
     def test_stratum_probs_per_row(self):
         x1, x2 = np.random.default_rng(14).uniform(-1, 1, size=(2, 500))

@@ -7,6 +7,7 @@ from gptest import engine
 
 from gptest.basis import BasisSpec, DesignMatrix, build_design, nested_columns
 from gptest.dgp import (
+    Dataset,
     PanelAConfig,
     PanelBConfig,
     gen_panel_a,
@@ -30,7 +31,9 @@ from gptest.engine import (
 from gptest.engine import TestConfig as EngineConfig
 from gptest.errors import DegenerateScale, InvalidInput
 from gptest.nuisance import crossfit, with_intercept
-from gptest.numerics import RngStream, chi2_sf, chisq_mixture_sf, normal_cdf, sym_eigen
+from gptest.numerics import (
+    RIDGE_JITTER, RngStream, chi2_sf, chisq_mixture_sf, normal_cdf, sym_eigen,
+)
 from gptest.scores import IV_COMPATIBILITY, MEAN_EXCHANGEABILITY, ScoreSpec, evaluate_score
 from mc_reference import weighted_chisq_pvalue
 
@@ -321,6 +324,42 @@ class TestWaldProjection:
         with pytest.raises(InvalidInput):
             wald_projection_test(np.ones((3, 3)), np.zeros(3))
 
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("d", [1, 3, 5])
+    def test_matches_identity_matrix_ridge_bit_for_bit(self, seed, d):
+        """The ridge added to the diagonals in place gives the statistic,
+        p-value and coefficients of adding ``RIDGE_JITTER * I``."""
+        rng = np.random.default_rng(seed)
+        n = 200 * (seed + 1)
+        feats = np.column_stack([np.ones(n), rng.uniform(-1, 1, size=(n, d - 1))])
+        g = rng.standard_normal(n) + 0.1 * seed * feats[:, -1]
+        gram, moment = feats.T @ feats / n, feats.T @ g / n
+        jitter = RIDGE_JITTER * np.eye(d)
+        theta = np.linalg.solve(gram + jitter, moment)
+        resid = g - feats @ theta
+        meat = (feats * resid[:, None] ** 2).T @ feats / n
+        w = float(n * moment @ np.linalg.solve(meat + jitter, moment))
+        res = wald_projection_test(feats, g)
+        assert res.theta_ls.tobytes() == theta.tobytes()
+        assert (res.statistic, res.p_value) == (w, chi2_sf_arange(w, d))
+
+
+def chi2_sf_arange(x, df):
+    """``chi2_sf`` with its exponents from ``np.arange``, for comparison."""
+    if x <= 0:
+        return 1.0
+    h, odd = x / 2.0, df % 2
+    terms = [math.erfc(math.sqrt(h)) if odd else math.exp(-h)]
+    terms += [math.exp(a * math.log(h) - h - math.lgamma(a + 1.0))
+              for a in np.arange(1.0 - 0.5 * odd, df / 2.0)]
+    return math.fsum(terms)
+
+
+@pytest.mark.parametrize("df", range(1, 61))
+def test_chi2_sf_matches_arange_exponents_bit_for_bit(df):
+    xs = [1e-3, 0.5, df / 2.0, float(df), df + 3.0 * math.sqrt(2.0 * df), 4.0 * df + 30.0]
+    assert [chi2_sf(x, df) for x in xs] == [chi2_sf_arange(x, df) for x in xs]
+
 
 class TestRunGpTest:
     def _setup(self, n=800, seed=60):
@@ -378,6 +417,20 @@ class TestRunGpTest:
         message = "^basis has J=200 columns for n=200 rows; need J < n$"
         with pytest.raises(InvalidInput, match=message):
             check_basis_columns(200, 200)
+
+    @pytest.mark.parametrize("mode", ["crossfit", "oracle"])
+    def test_covariate_matrix_built_once(self, mode, monkeypatch):
+        """The cross-fit's covariate matrix also serves the design and the Wald features."""
+        data, score = self._setup(n=400)
+        if mode == "crossfit":
+            score = ScoreSpec()
+        calls = []
+        build = Dataset.covariate_matrix
+        monkeypatch.setattr(Dataset, "covariate_matrix",
+                            lambda self, names: calls.append(names) or build(self, names))
+        specs = (BasisSpec(j_star=3), BasisSpec(j_star=5))
+        run_gp_tests(data, score, specs, EngineConfig(), (GP_STANDARDIZED, "wald"))
+        assert calls == [("X1", "X2")]
 
     def test_tests_on_one_crossfit_equal_single_runs(self):
         from gptest.scores import ScoreSpec
