@@ -11,13 +11,11 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import harness
 from .basis import BasisSpec, basis_bound_diagnostics
 from .engine import METHODS, TestConfig, run_gp_test
-from .errors import GptestError, InvalidConfig
-from .dgp import read_csv
+from .errors import GptestError, InvalidConfig, SchemaError
+from .dgp import Dataset, read_csv
 from .nuisance import check_folds
 from .scores import ScoreSpec
 
@@ -30,11 +28,15 @@ def _read_text(path: str) -> str:
         raise InvalidConfig(f"cannot read {path!r}: {exc}") from None
 
 
-def _empirical_ranges(x: np.ndarray):
-    """Per-covariate (min, max) expanded by 1% on each side."""
+def _empirical_ranges(data: Dataset, names):
+    """Each named covariate's (min, max) expanded by 1% on each side; a
+    constant covariate spans no range and is refused."""
     ranges = []
-    for k in range(x.shape[1]):
-        lo, hi = float(x[:, k].min()), float(x[:, k].max())
+    for name in names:
+        column = data.col(name)
+        lo, hi = float(column.min()), float(column.max())
+        if lo == hi:
+            raise SchemaError(f"covariate column {name!r} is constant, so it spans no basis range")
         pad = 0.01 * max(hi - lo, 1e-12)
         ranges.append((lo - pad, hi + pad))
     return tuple(ranges)
@@ -65,7 +67,7 @@ def cmd_test(args) -> int:
     spec = ScoreSpec(**kw["score"])
     data = read_csv(args.data)
     check_folds(kw["run"].get("K", 5), data.n)  # the ranges need a row
-    ranges = _empirical_ranges(data.covariate_matrix(spec.covariates))
+    ranges = _empirical_ranges(data, spec.covariates)
     basis_spec = BasisSpec(ranges=ranges, **kw["basis"])
     result = run_gp_test(data, spec, basis_spec, TestConfig(**kw["test"]), **kw["run"])
     print(json.dumps(result.to_dict(), indent=2, allow_nan=False))

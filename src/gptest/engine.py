@@ -106,7 +106,7 @@ def _calibrated(variant: str, a: np.ndarray, sig: np.ndarray, n: int,
     s, rho = statistic(a, n), float(sig.trace())
     taus = t = None
     if variant == GP_UNSTANDARDIZED:
-        taus = sym_eigen(sig).values
+        taus = sym_eigen(sig)[0]
         p = chisq_mixture_sf(taus, s)
     else:
         t = (s - rho) / (math.sqrt(2.0) * gamma)

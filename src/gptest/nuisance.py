@@ -10,10 +10,11 @@ out-of-fold values; the score is then evaluated once on the full sample.
 The K fold fits of one nuisance model are solved together: fold k
 weights the model's stratum rows by ``fold_of[i] != k``, and the K
 weighted normal equations (or Newton steps) are solved as one stack.
-Each stratum is set up once for every model fit on it: its rows of the
-design are gathered, and its fold weights, Gram product columns and
-base Gram stack are computed.  Least squares solves with that Gram, and
-the first IRLS step with a quarter of it.
+The (K, n) fold weights are built once per cross-fit.  Each stratum is
+set up once for every model fit on it: its rows of the design and of the
+fold weights are gathered, and each fit's row count, the Gram product
+columns and the base Gram stack are computed.  Least squares solves with
+that Gram, and the first IRLS step with a quarter of it.
 """
 
 from __future__ import annotations
@@ -96,13 +97,14 @@ def _grams(weights: np.ndarray, columns: np.ndarray, entry) -> np.ndarray:
 
 class _Setup:
     """What the K fold fits of every model on one set of rows share: the
-    rows' design, their (K, m) fold weights W, the design's product
-    columns C and Gram entry index (``_pair_index``, built if not given)
-    and the base Gram stack W·C."""
+    rows' design, their (K, m) fold weights W, each fit's row count, the
+    design's product columns C and Gram entry index (``_pair_index``,
+    built if not given) and the base Gram stack W·C."""
 
     def __init__(self, features: np.ndarray, weights: np.ndarray, pair_index=None):
         left, right, self.entry = pair_index or _pair_index(features.shape[1])
         self.features, self.weights = features, weights
+        self.counts = weights.sum(axis=1)
         self.columns = features[:, left]
         self.columns *= features[:, right]
         self.gram = _grams(weights, self.columns, self.entry)
@@ -150,14 +152,11 @@ def _irls(fit: _Setup, y: np.ndarray):
             np.subtract(y, prob, out=work)
             work *= weights
             grad = work @ features
-        if running.size == K:
-            step = _solve_normal(gram, grad)
-            beta += step
-            capped = np.abs(beta).max(axis=1) > _LOGIT_COEF_CAP
-        else:
-            step = _solve_normal(gram[running], grad[running])
-            beta[running] += step
-            capped = np.abs(beta[running]).max(axis=1) > _LOGIT_COEF_CAP
+        # a full slice (views, no copies) while every fit runs
+        live = slice(None) if running.size == K else running
+        step = _solve_normal(gram[live], grad[live])
+        beta[live] += step
+        capped = np.abs(beta[live]).max(axis=1) > _LOGIT_COEF_CAP
         small = np.abs(step).max(axis=1) < _LOGIT_TOL
         stop = small | capped
         if stop.any():
@@ -189,14 +188,15 @@ def make_folds(n: int, K: int, rng: RngStream) -> np.ndarray:
 
 
 class _Folds:
-    """The shared intercept design and the fold of every row; counts the
-    fold fits that did not converge."""
+    """The shared intercept design, the fold of every row and the (K, n)
+    fold weights W[k, i] = fold_of[i] != k; counts the fold fits that did
+    not converge."""
 
     def __init__(self, features: np.ndarray, fold_of: np.ndarray, K: int):
         n = fold_of.size
         self.features = features
         self.fold_of = fold_of
-        self.K = K
+        self.weights = (fold_of != np.arange(K)[:, None]).astype(float)
         self.everyone = np.ones(n, dtype=bool)
         # where row i's own-fold value sits in a flattened (K, n) array
         self.own_fold = fold_of * n + np.arange(n)
@@ -205,22 +205,20 @@ class _Folds:
 
     def training(self, stratum: np.ndarray, label: str):
         """The stratum's rows (an index array, or a full slice for
-        ``everyone``) and the set-up of its fits, whose fold weights are
-        W[k, i] = fold_of[i] != k."""
+        ``everyone``) and the set-up of its fits on their fold weights."""
         if stratum is self.everyone:
-            rows, features, fold_of = slice(None), self.features, self.fold_of
+            rows, features, weights = slice(None), self.features, self.weights
         else:
             rows = np.flatnonzero(stratum)
             features = np.take(self.features, rows, axis=0)
-            fold_of = np.take(self.fold_of, rows)
-        counts = fold_of.size - np.bincount(fold_of, minlength=self.K)
-        short = np.flatnonzero(counts < features.shape[1] + 1)
+            weights = np.take(self.weights, rows, axis=1)
+        fit = _Setup(features, weights, self.pair_index)
+        short = np.flatnonzero(fit.counts < features.shape[1] + 1)
         if short.size:
             raise InsufficientStratum(
                 f"training data for fold {short[0]} has too few rows in stratum {label}"
             )
-        weights = (fold_of != np.arange(self.K)[:, None]).astype(float)
-        return rows, _Setup(features, weights, self.pair_index)
+        return rows, fit
 
     def out_of_fold(self, fit: _Setup, y: np.ndarray, binary: bool, label: str):
         """Row i's prediction from fold ``fold_of[i]``'s fit to the stratum's
@@ -229,7 +227,7 @@ class _Folds:
             return np.take(_lstsq(fit, y) @ self.features.T, self.own_fold)
         # a fold trains on one class when its count of ones is 0 or its row count
         ones = fit.weights @ y
-        single = np.flatnonzero((ones == 0.0) | (ones == fit.weights.sum(axis=1)))
+        single = np.flatnonzero((ones == 0.0) | (ones == fit.counts))
         if single.size:
             raise InsufficientStratum(
                 f"training data for fold {single[0]} is single-class in stratum {label}"
@@ -280,7 +278,7 @@ def _fit_parametric(roles: dict, spec: sc.ScoreSpec, folds: _Folds):
     _, fit = folds.training(folds.everyone, "Y")
     h = folds.out_of_fold(fit, roles["y"][0], False, "Y")
     p = fit.features.shape[1]
-    gram = fit.gram / fit.weights.sum(axis=1)[:, None, None]
+    gram = fit.gram / fit.counts[:, None, None]
     gram_inv = np.linalg.inv(gram + RIDGE_JITTER * np.eye(p))
     feats = folds.features
     leverage = np.einsum("ij,ijk,ik->i", feats, gram_inv[folds.fold_of], feats)

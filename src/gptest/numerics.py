@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -34,24 +33,13 @@ def _as_sym(a) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Spectral decomposition A = V diag(values) V^T.
-
-    ``values`` is sorted in descending order; columns of ``vectors`` are
-    the matching orthonormal eigenvectors.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def sym_eigen(a) -> EigenDecomposition:
-    """Eigendecomposition of a symmetric matrix, eigenvalues descending."""
-    a = _as_sym(a)
-    vals, vecs = np.linalg.eigh(a)
+def sym_eigen(a) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition A = V diag(values) V^T of a symmetric matrix, as
+    the (values, vectors) pair of ``np.linalg.eigh`` but with the values
+    descending; column j of vectors is the orthonormal eigenvector of values[j]."""
+    vals, vecs = np.linalg.eigh(_as_sym(a))
     order = np.argsort(vals)[::-1]
-    return EigenDecomposition(values=vals[order], vectors=vecs[:, order])
+    return vals[order], vecs[:, order]
 
 
 class RngStream:

@@ -360,6 +360,26 @@ class TestCli:
                 assert main(["test", "--data", str(path), "--config", str(cfg)]) == 2
                 assert capsys.readouterr().err == "error: outcome column 'Y' is constant\n"
 
+    @pytest.mark.parametrize("value", [0.5, 1e10])
+    def test_constant_covariate_exits_2(self, capsys, tmp_path, test_config_file, value):
+        # a constant covariate spans no basis range: at 0.5 the ridge fallback
+        # of the cross-fit would absorb the singular design, and at 1e10 the
+        # 1% pad would vanish in the range's floats
+        data = gen_panel_a(PanelAConfig(n=600, seed=41))
+        path = tmp_path / "constant_x2.csv"
+        write_csv(Dataset(columns={**data.columns, "X2": np.full(data.n, value)}), str(path))
+        assert main(["test", "--data", str(path), "--config", test_config_file]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: covariate column 'X2' is constant, so it spans no basis range\n"
+
+    def test_covariate_matrix_built_once(self, capsys, monkeypatch, panel_a_csv, test_config_file):
+        calls = []
+        build = Dataset.covariate_matrix
+        monkeypatch.setattr(Dataset, "covariate_matrix",
+                            lambda self, names: calls.append(names) or build(self, names))
+        assert main(["test", "--data", panel_a_csv, "--config", test_config_file]) == 0
+        assert calls == [("X1", "X2")]
+
     @pytest.mark.parametrize("variant", ["gp_standardized", "gp_unstandardized"])
     def test_iv_csv_matches_generated_dataset(self, capsys, tmp_path, variant):
         # a written Panel B dataset gets the same p-value from `gptest test`
@@ -371,7 +391,7 @@ class TestCli:
         assert main(["test", "--data", str(data_path), "--config", str(cfg)]) == 0
         payload = json.loads(capsys.readouterr().out)
         spec = ScoreSpec(kind="iv_compatibility")
-        ranges = _empirical_ranges(data.covariate_matrix(spec.covariates))
+        ranges = _empirical_ranges(data, spec.covariates)
         expected = engine.run_gp_test(data, spec, BasisSpec(ranges=ranges),
                                       engine.TestConfig(seed=9), variant=variant)
         assert payload["p_value"] == expected.p_value

@@ -501,6 +501,23 @@ class TestMultiTargetCall:
         assert together.nonconverged == alone.nonconverged == nonconverged
 
 
+class TestStratumSetup:
+    """A stratum's fold weights are its rows' columns of the (K, n) weights
+    built once per cross-fit, and each fit's row count is summed once."""
+
+    @pytest.mark.parametrize("stratum", ["every_row", "s_is_1"])
+    def test_counts_and_weights_match_fold_of(self, stratum):
+        data, K = gen_panel_a(PanelAConfig(n=1003, seed=37)), 5
+        fold_of = make_folds(data.n, K, RngStream(7))
+        folds = nuisance._Folds(with_intercept(data.covariate_matrix(("X1", "X2"))), fold_of, K)
+        in_stratum = folds.everyone if stratum == "every_row" else data.col("S") == 1.0
+        rows, fit = folds.training(in_stratum, "S")
+        own = fold_of[rows]
+        assert np.array_equal(fit.counts, own.size - np.bincount(own, minlength=K))
+        assert fit.weights.flags.c_contiguous
+        assert fit.weights.tobytes() == (own != np.arange(K)[:, None]).astype(float).tobytes()
+
+
 def _with_columns(data, **changes):
     return Dataset(columns=dict(data.columns, **changes))
 
