@@ -70,6 +70,11 @@ class SimGridConfig:
             raise InvalidConfig("replications must be >= 1")
         if not self.sample_sizes or not self.scenarios or not self.j_star_list:
             raise InvalidConfig("sample_sizes, scenarios, and j_star must be nonempty")
+        for key, values in (("sample_sizes", self.sample_sizes), ("scenarios", self.scenarios),
+                            ("j_star", self.j_star_list), ("methods", self.methods)):
+            for i, value in enumerate(values):
+                if value in values[:i]:  # a repeat would run its cells twice on the same seeds
+                    raise InvalidConfig(f"{key} lists {value!r} twice")
         for m in self.methods:
             if m not in METHODS:
                 raise InvalidConfig(f"unknown method {m!r}")
@@ -213,11 +218,11 @@ def run_grid(cfg: SimGridConfig) -> RejectionTable:
 
 # ---------------------------------------------------------------------------
 # Plain-text key/value config files.  Grammar: one `key = value` pair per
-# line, '#' starts a comment, blank lines ignored.  Lists are
-# comma-separated; scenario pairs are semicolon-separated "a,b" tuples.
+# line, '#' starts a comment, blank lines ignored, and a key appears once.
+# Lists are comma-separated; scenario pairs are semicolon-separated "a,b" tuples.
 
 def parse_config_text(text: str) -> dict:
-    out = {}
+    out, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -225,7 +230,11 @@ def parse_config_text(text: str) -> dict:
         if "=" not in line:
             raise InvalidConfig(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = line.split("=", 1)
-        out[key.strip().lower()] = value.strip()
+        key = key.strip().lower()
+        if key in lines:
+            raise InvalidConfig(f"{key} is given twice, on lines {lines[key]} and {lineno}")
+        lines[key] = lineno
+        out[key] = value.strip()
     return out
 
 

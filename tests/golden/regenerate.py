@@ -14,7 +14,8 @@ at n = 250, Panel B oracle at n = 400, and Panel B cross-fit on a tensor
 Fourier basis at n = 400, each with R = 100, so they pin the replication
 seeds, the pairing of methods and J* on one dataset, and the oracle
 bundles the samplers hand the harness.  ``tests/test_golden.py`` compares
-the files with a fresh computation.
+the files with a fresh computation, running each grid at 1 and at 2
+threads.
 """
 
 from __future__ import annotations
@@ -72,11 +73,11 @@ def compute(score_name: str) -> dict:
     return out
 
 
-def write_grid(grid_name: str, path: Path) -> None:
-    """Run golden grid ``grid_name`` through ``run_grid`` at 1 thread and
-    write its rates CSV to ``path``."""
+def write_grid(grid_name: str, path: Path, threads: int = 1) -> None:
+    """Run golden grid ``grid_name`` through ``run_grid`` on ``threads``
+    worker processes and write its rates CSV to ``path``."""
     text = PATH.with_name(f"{grid_name}.cfg").read_text()
-    run_grid(sim_config_from_text(text, {"threads": 1})).to_csv(str(path))
+    run_grid(sim_config_from_text(text, {"threads": threads})).to_csv(str(path))
 
 
 def main() -> int:

@@ -1,8 +1,9 @@
 """``run_gp_tests`` still gives the p-values and decisions recorded in
 ``golden/pvalues.json``: decisions exactly, p-values within 1e-12
 relative, since another numpy or BLAS may differ in the last bits.  And
-``run_grid`` still writes each golden grid's rates CSV byte for byte.
-``golden/regenerate.py`` rewrites the files and prints what moved."""
+``run_grid`` still writes each golden grid's rates CSV byte for byte, at
+1 and at 2 threads.  ``golden/regenerate.py`` rewrites the files and
+prints what moved."""
 
 import json
 
@@ -29,8 +30,11 @@ def test_pvalues_match_golden(score_name):
     assert moved == []
 
 
-@pytest.mark.parametrize("grid_name", GRID_NAMES)
-def test_rates_csv_matches_golden(grid_name, tmp_path):
+@pytest.mark.parametrize("grid_name, threads", [
+    *(pytest.param(name, 1, id=name) for name in GRID_NAMES),
+    *(pytest.param(name, 2, id=f"{name}-threads2") for name in GRID_NAMES),
+])
+def test_rates_csv_matches_golden(grid_name, threads, tmp_path):
     got = tmp_path / f"{grid_name}.csv"
-    write_grid(grid_name, got)
+    write_grid(grid_name, got, threads)
     assert got.read_bytes().split(b"\n") == PATH.with_name(f"{grid_name}.csv").read_bytes().split(b"\n")

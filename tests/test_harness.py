@@ -43,6 +43,11 @@ class TestConfigParsing:
         with pytest.raises(InvalidConfig, match="line 2"):
             parse_config_text("panel = A\nnot a pair\n")
 
+    def test_key_given_twice_rejected(self):
+        # keys are read case-blind, so J_STAR repeats j_star
+        with pytest.raises(InvalidConfig, match="^j_star is given twice, on lines 1 and 3$"):
+            parse_config_text("j_star = 3\n# comment\nJ_STAR = 5\n")
+
     def test_full_grid_config(self):
         cfg = sim_config_from_text(
             "panel = b\n"
@@ -86,6 +91,21 @@ class TestConfigParsing:
     def test_unknown_method_rejected(self):
         with pytest.raises(InvalidConfig):
             SimGridConfig(methods=("gp_standardized", "anova"))
+
+    @pytest.mark.parametrize(
+        "field, values, message",
+        [
+            ("sample_sizes", (250, 500, 250), "sample_sizes lists 250 twice"),
+            ("scenarios", ((0.0, 0.0), (0.2, 0.0), (0.0, 0.0)), "scenarios lists (0.0, 0.0) twice"),
+            ("j_star_list", (3, 3), "j_star lists 3 twice"),
+            ("methods", ("wald", "wald"), "methods lists 'wald' twice"),
+        ],
+        ids=["sample_sizes", "scenarios", "j_star", "methods"],
+    )
+    def test_value_listed_twice_rejected(self, field, values, message):
+        # a repeated value would run its cells twice on the same seeds
+        with pytest.raises(InvalidConfig, match=f"^{re.escape(message)}$"):
+            SimGridConfig(**{field: values})
 
     @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.cfg")), ids=lambda p: p.stem)
     def test_shipped_config_parses(self, path):
@@ -463,6 +483,51 @@ class TestCli:
         cfg.write_text("replications = 0\n")
         out = tmp_path / "rates.csv"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("test", "score = mean_exchangeability\nj_star = 3\nj_star = 5\n",
+             "j_star is given twice, on lines 2 and 3"),
+            ("simulate", "sample_sizes = 250\nreplications = 2\nnuisance = oracle\n"
+             "replications = 3\n", "replications is given twice, on lines 2 and 4"),
+        ],
+        ids=["test", "simulate"],
+    )
+    def test_key_given_twice_exits_2(self, capsys, panel_a_csv, tmp_path, command, text, message):
+        cfg, out = tmp_path / "twice.cfg", tmp_path / "rates.csv"
+        cfg.write_text(text)
+        args = ["--data", panel_a_csv] if command == "test" else ["--out", str(out)]
+        assert main([command, "--config", str(cfg), *args]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
+    def test_seed_flag_overrides_file_key(self, capsys, panel_a_csv, test_config_file, tmp_path):
+        cfg = tmp_path / "seed9.cfg"
+        cfg.write_text(Path(test_config_file).read_text().replace("seed = 2", "seed = 9"))
+        assert main(["test", "--data", panel_a_csv, "--config", str(cfg)]) == 0
+        want = capsys.readouterr().out
+        argv = ["test", "--data", panel_a_csv, "--config", test_config_file, "--seed", "9"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("sample_sizes = 250, 500, 250", "sample_sizes lists 250 twice"),
+            ("scenarios = 0,0; 0,0", "scenarios lists (0.0, 0.0) twice"),
+            ("j_star = 3, 3", "j_star lists 3 twice"),
+            ("methods = wald, wald", "methods lists 'wald' twice"),
+        ],
+        ids=["sample_sizes", "scenarios", "j_star", "methods"],
+    )
+    def test_simulate_value_listed_twice_exits_2(self, capsys, tmp_path, line, message):
+        cfg, out = tmp_path / "sim.cfg", tmp_path / "rates.csv"
+        cfg.write_text(f"replications = 2\nnuisance = oracle\n{line}\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        key, value = line.split(" = ")
+        assert capsys.readouterr().err == f"error: {key} = {value!r}: {message}\n"
+        assert not out.exists()
 
     def test_simulate_same_bytes_for_one_and_two_threads(self, capsys, tmp_path):
         cfg = tmp_path / "sim.cfg"
