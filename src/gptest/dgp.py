@@ -201,15 +201,10 @@ def _stratum_probs(x1, x2):
 _STRATUM_TABLE = _stratum_probs(np.array([0.0, 0, 1, 1]), np.array([0.0, 1, 0, 1]))
 _STRATUM_CUMULATIVE = np.cumsum(_STRATUM_TABLE, axis=1)
 
-
-def _treatment_from_stratum(z1, z2, stratum):
-    """Treatment uptake D determined by (Z1, Z2) and stratum membership."""
-    d = np.zeros_like(z1)
-    d = np.where(stratum == 1, z1, d)                # SCO1: D = Z1
-    d = np.where(stratum == 2, z2, d)                # SCO2: D = Z2
-    d = np.where(stratum == 3, z1 * z2, d)           # RCO: D = Z1 * Z2
-    d = np.where(stratum == 4, np.maximum(z1, z2), d)  # ECO: D = max(Z1, Z2)
-    return d
+# treatment uptake D of each (stratum, Z1, Z2): ANT never, SCO1 D = Z1,
+# SCO2 D = Z2, RCO D = Z1 * Z2, ECO D = max(Z1, Z2)
+_TREATMENT = np.array([[[0, 0], [0, 0]], [[0, 0], [1, 1]], [[0, 1], [0, 1]],
+                       [[0, 0], [0, 1]], [[0, 1], [1, 1]]], dtype=float)
 
 
 def _sco2_effect(x1, x2, beta1, beta2):
@@ -223,10 +218,6 @@ def _sco2_effect(x1, x2, beta1, beta2):
     if beta2:
         effect = effect + beta2 * (x1 + x2)
     return effect
-
-
-def _u_sd(cfg: PanelBConfig) -> float:
-    return np.sqrt(0.3) if cfg.u_param == "var" else 0.3
 
 
 def _panel_b_laws(x1, x2, cfg: PanelBConfig) -> tuple:
@@ -270,18 +261,17 @@ def _draw_panel_b(cfg: PanelBConfig) -> tuple[Dataset, tuple]:
     x2 = 2.0 * rng.uniform(n) - 1.0
     laws = _panel_b_laws(x1, x2, cfg)
     _, _, pz1, pz2, cell, eff_sco2 = laws
-    z1 = (rng.uniform(n) < pz1).astype(float)
-    z2 = (rng.uniform(n) < pz2).astype(float)
-    u = -0.3 + _u_sd(cfg) * rng.normal(n)
+    z1 = (rng.uniform(n) < pz1).astype(int)
+    z2 = (rng.uniform(n) < pz2).astype(int)
+    u = -0.3 + (np.sqrt(0.3) if cfg.u_param == "var" else 0.3) * rng.normal(n)
     # a row's stratum counts the cumulative probabilities of its cell that its draw reaches
     draw = rng.uniform(n)
     cumulative = np.take(_STRATUM_CUMULATIVE, cell, axis=0)
     stratum = sum(draw >= column for column in cumulative.T)
-    d = _treatment_from_stratum(z1, z2, stratum)
-    eps = rng.normal(n)
-    y0 = 1.0 + x1 + x2 + u + eps
-    effect = np.where(stratum == 0, 0.0, np.where(stratum == 2, eff_sco2, -2.0 * x1))
-    y = d * (y0 + effect) + (1.0 - d) * y0
+    d = _TREATMENT[stratum, z1, z2]
+    y0 = 1.0 + x1 + x2 + u + rng.normal(n)
+    # D is 0 in ANT, so its effect is never read
+    y = y0 + d * np.where(stratum == 2, eff_sco2, -2.0 * x1)
     return Dataset(columns={"X1": x1, "X2": x2, "Z1": z1, "Z2": z2, "D": d, "Y": y}), laws
 
 

@@ -68,8 +68,13 @@ class SimGridConfig:
             raise InvalidConfig(f"panel must be 'A' or 'B', got {self.panel!r}")
         if self.replications < 1:
             raise InvalidConfig("replications must be >= 1")
-        if not self.sample_sizes or not self.scenarios or not self.j_star_list:
-            raise InvalidConfig("sample_sizes, scenarios, and j_star must be nonempty")
+        if not (self.sample_sizes and self.scenarios and self.j_star_list and self.methods):
+            raise InvalidConfig("sample_sizes, scenarios, j_star and methods must be nonempty")
+        for scenario in self.scenarios:
+            if not isinstance(scenario, (tuple, list)) or len(scenario) != 2:
+                raise InvalidConfig(f"scenario {scenario!r} is not a pair")
+        # a seed reads repr(scenario), so (0, 0) must seed as (0.0, 0.0) does
+        self.scenarios = tuple((float(a), float(b)) for a, b in self.scenarios)
         for key, values in (("sample_sizes", self.sample_sizes), ("scenarios", self.scenarios),
                             ("j_star", self.j_star_list), ("methods", self.methods)):
             for i, value in enumerate(values):
@@ -202,17 +207,8 @@ def run_grid(cfg: SimGridConfig) -> RejectionTable:
         hits = [sum(cell) for cell in zip(*decisions[i * R:(i + 1) * R])]
         for (method, j_star), k in zip(grid_cells, hits):
             rate = k / R
-            rows.append({
-                "panel": cfg.panel,
-                "n": n,
-                "scenario_1": scenario[0],
-                "scenario_2": scenario[1],
-                "method": method,
-                "j_star": j_star,
-                "rejection_rate": rate,
-                "replications": R,
-                "mc_stderr": math.sqrt(rate * (1.0 - rate) / R),
-            })
+            rows.append(dict(zip(TABLE_HEADER, (cfg.panel, n, *scenario, method, j_star, rate, R,
+                                                math.sqrt(rate * (1.0 - rate) / R)))))
     return RejectionTable(rows)
 
 

@@ -197,16 +197,15 @@ class _Folds:
         self.features = features
         self.fold_of = fold_of
         self.weights = (fold_of != np.arange(K)[:, None]).astype(float)
-        self.everyone = np.ones(n, dtype=bool)
         # where row i's own-fold value sits in a flattened (K, n) array
         self.own_fold = fold_of * n + np.arange(n)
         self.pair_index = _pair_index(features.shape[1])
         self.nonconverged = 0
 
-    def training(self, stratum: np.ndarray, label: str):
-        """The stratum's rows (an index array, or a full slice for
-        ``everyone``) and the set-up of its fits on their fold weights."""
-        if stratum is self.everyone:
+    def training(self, stratum: np.ndarray | None, label: str):
+        """The stratum's rows (an index array, or a full slice for every
+        row, ``stratum=None``) and the set-up of its fits on their fold weights."""
+        if stratum is None:
             rows, features, weights = slice(None), self.features, self.weights
         else:
             rows = np.flatnonzero(stratum)
@@ -236,7 +235,7 @@ class _Folds:
         self.nonconverged += int(np.sum(~converged))
         return expit(np.take(beta @ self.features.T, self.own_fold))
 
-    def predict(self, stratum: np.ndarray, *targets):
+    def predict(self, stratum: np.ndarray | None, *targets):
         """Out-of-fold predictions of each (labels, binary, label) target from
         one set-up of the stratum; a failure names the target's label."""
         rows, fit = self.training(stratum, targets[0][2])
@@ -249,7 +248,7 @@ class _Folds:
 
 def _fit_me(roles: dict, spec: sc.ScoreSpec, folds: _Folds):
     y, s, a = roles["y"], roles["s"], roles["a"]
-    (ps1,) = folds.predict(folds.everyone, (*s, "S"))
+    (ps1,) = folds.predict(None, (*s, "S"))
     values = {}
     for sv in (0, 1):
         in_s = s[0] == sv
@@ -263,7 +262,7 @@ def _fit_me(roles: dict, spec: sc.ScoreSpec, folds: _Folds):
 
 def _fit_iv(roles: dict, spec: sc.ScoreSpec, folds: _Folds):
     d, y, z1, z2 = roles["d"], roles["y"], roles["z1"], roles["z2"]
-    pz1, pz2 = folds.predict(folds.everyone, (*z1, "Z1"), (*z2, "Z2"))
+    pz1, pz2 = folds.predict(None, (*z1, "Z1"), (*z2, "Z2"))
     values = {"pz1": pz1, "pz2": pz2}
     for j, z in ((1, z1[0]), (2, z2[0])):
         for zv in (0, 1):
@@ -275,7 +274,7 @@ def _fit_iv(roles: dict, spec: sc.ScoreSpec, folds: _Folds):
 
 def _fit_parametric(roles: dict, spec: sc.ScoreSpec, folds: _Folds):
     """The fitted mean ``h`` and each row's leverage under its own fold's Gram matrix."""
-    _, fit = folds.training(folds.everyone, "Y")
+    _, fit = folds.training(None, "Y")
     h = folds.out_of_fold(fit, roles["y"][0], False, "Y")
     p = fit.features.shape[1]
     gram = fit.gram / fit.counts[:, None, None]
@@ -286,7 +285,7 @@ def _fit_parametric(roles: dict, spec: sc.ScoreSpec, folds: _Folds):
 
 
 def _fit_condcov(roles: dict, spec: sc.ScoreSpec, folds: _Folds):
-    mean_y, mean_z = folds.predict(folds.everyone, (*roles["y"], "y"), (*roles["z"], "z"))
+    mean_y, mean_z = folds.predict(None, (*roles["y"], "y"), (*roles["z"], "z"))
     return {"mean_y": mean_y, "mean_z": mean_z}
 
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -48,6 +49,15 @@ class TestLegendre:
             BasisSpec(j_star=66)
         BasisSpec(j_star=65)
         BasisSpec(family="fourier", j_star=66)  # Fourier has no recurrence
+
+    @pytest.mark.parametrize("ranges, message", [
+        (((1.0, -1.0),), "bad covariate range (1.0, -1.0)"),
+        (((-1.0, 1.0), (0.5, 0.5)), "bad covariate range (0.5, 0.5)"),
+        (((float("nan"), 1.0),), "bad covariate range (nan, 1.0)"),
+    ], ids=["reversed", "empty", "nan"])
+    def test_bad_range_refused_by_the_spec(self, ranges, message):
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+            BasisSpec(ranges=ranges)
 
     def test_gram_schmidt_oracle_low_degrees(self):
         # independent construction: orthonormalize monomials by quadrature
@@ -130,6 +140,15 @@ class TestBuildDesign:
         x[2, 1] = 1.5
         with pytest.raises(OutOfRange, match=r"^covariate 1 out of range at row 3: value 1\.5$"):
             build_design(x, spec)
+
+    @pytest.mark.parametrize("shape, message", [
+        ((3, 3), "covariate matrix is 3x3, spec declares 2 covariates"),
+        ((3,), "covariate matrix is 3x1, spec declares 2 covariates"),
+        ((0, 2), "covariate matrix is 0x2, spec declares 2 covariates"),
+    ], ids=["three_columns", "vector", "no_rows"])
+    def test_covariate_matrix_shape_refused(self, shape, message):
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+            build_design(np.zeros(shape), BasisSpec(j_star=3))
 
     def test_deterministic(self):
         rng = np.random.default_rng(2)

@@ -8,10 +8,12 @@ from gptest.dgp import (
     Dataset,
     PanelAConfig,
     PanelBConfig,
+    _STRATUM_CUMULATIVE,
     _STRATUM_TABLE,
+    _TREATMENT,
+    _panel_b_laws,
     _sco2_effect,
     _stratum_probs,
-    _treatment_from_stratum,
     expit,
     gen_panel_a,
     gen_panel_b,
@@ -22,7 +24,7 @@ from gptest.dgp import (
     sample_panel_b,
     write_csv,
 )
-from gptest.errors import SchemaError
+from gptest.errors import InvalidConfig, SchemaError
 from gptest.numerics import RngStream
 from mc_reference import panel_b_reference
 
@@ -41,7 +43,8 @@ class TestDataset:
         ({"X": 1.0, "Y": 2.0}, r"column 'X' must be 1-D, got shape \(\)"),
         ({"X": [1, 2], "Y": ["a", "b"]}, "column 'Y' is not numeric"),
         ({"X": np.zeros((3, 2)), "Y": np.zeros(3)}, r"column 'X' must be 1-D, got shape \(3, 2\)"),
-    ], ids=["scalar", "strings", "matrix"])
+        ({}, "^dataset has no columns$"),
+    ], ids=["scalar", "strings", "matrix", "no_columns"])
     def test_column_not_a_vector_of_numbers(self, columns, message):
         with pytest.raises(SchemaError, match=message):
             Dataset(columns=columns)
@@ -61,6 +64,12 @@ class TestDataset:
 
 
 class TestPanelA:
+    @pytest.mark.parametrize("panel", [PanelAConfig, PanelBConfig])
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_sample_size_below_one_refused(self, panel, n):
+        with pytest.raises(InvalidConfig, match="^sample size must be >= 1$"):
+            panel(n=n)
+
     def test_deterministic(self):
         cfg = PanelAConfig(n=500, alpha1=0.2, seed=3)
         a, b = gen_panel_a(cfg), gen_panel_a(cfg)
@@ -199,6 +208,30 @@ PANEL_B_DRAWS = [
 ]
 
 
+def _four_pass_panel_b(cfg):
+    """Panel B columns with D from four ``np.where`` passes over the strata
+    and Y from the two-branch outcome formula, the X, Z, U and stratum draws
+    taken as the generator takes them."""
+    rng, n = RngStream(cfg.seed), cfg.n
+    x1 = 2.0 * rng.uniform(n) - 1.0
+    x2 = 2.0 * rng.uniform(n) - 1.0
+    _, _, pz1, pz2, cell, eff_sco2 = _panel_b_laws(x1, x2, cfg)
+    z1 = (rng.uniform(n) < pz1).astype(float)
+    z2 = (rng.uniform(n) < pz2).astype(float)
+    u = -0.3 + (np.sqrt(0.3) if cfg.u_param == "var" else 0.3) * rng.normal(n)
+    draw = rng.uniform(n)
+    stratum = sum(draw >= column for column in np.take(_STRATUM_CUMULATIVE, cell, axis=0).T)
+    d = np.zeros_like(z1)
+    d = np.where(stratum == 1, z1, d)                  # SCO1: D = Z1
+    d = np.where(stratum == 2, z2, d)                  # SCO2: D = Z2
+    d = np.where(stratum == 3, z1 * z2, d)             # RCO: D = Z1 * Z2
+    d = np.where(stratum == 4, np.maximum(z1, z2), d)  # ECO: D = max(Z1, Z2)
+    y0 = 1.0 + x1 + x2 + u + rng.normal(n)
+    effect = np.where(stratum == 0, 0.0, np.where(stratum == 2, eff_sco2, -2.0 * x1))
+    y = d * (y0 + effect) + (1.0 - d) * y0
+    return {"X1": x1, "X2": x2, "Z1": z1, "Z2": z2, "D": d, "Y": y}
+
+
 class TestPanelB:
     def test_deterministic(self):
         cfg = PanelBConfig(n=500, beta1=0.5, seed=7)
@@ -229,18 +262,30 @@ class TestPanelB:
 
     def test_monotone_compliance_tables(self):
         # ECO treats whenever RCO does, for every (Z1, Z2) cell
-        for z1 in (0.0, 1.0):
-            for z2 in (0.0, 1.0):
-                z1a, z2a = np.array([z1]), np.array([z2])
-                d_rco = _treatment_from_stratum(z1a, z2a, np.array([3]))
-                d_eco = _treatment_from_stratum(z1a, z2a, np.array([4]))
-                assert d_eco[0] >= d_rco[0]
+        for z1 in (0, 1):
+            for z2 in (0, 1):
+                assert _TREATMENT[4, z1, z2] >= _TREATMENT[3, z1, z2]
 
     def test_ant_never_treats(self):
-        for z1 in (0.0, 1.0):
-            for z2 in (0.0, 1.0):
-                d = _treatment_from_stratum(np.array([z1]), np.array([z2]), np.array([0]))
-                assert d[0] == 0.0
+        for z1 in (0, 1):
+            for z2 in (0, 1):
+                assert _TREATMENT[0, z1, z2] == 0.0
+
+    def test_treatment_table_is_the_five_uptake_rules(self):
+        rules = [
+            lambda z1, z2: 0,            # ANT: never
+            lambda z1, z2: z1,           # SCO1: D = Z1
+            lambda z1, z2: z2,           # SCO2: D = Z2
+            lambda z1, z2: z1 * z2,      # RCO: D = Z1 * Z2
+            lambda z1, z2: max(z1, z2),  # ECO: D = max(Z1, Z2)
+        ]
+        assert _TREATMENT.shape == (5, 2, 2) and _TREATMENT.dtype == float
+        for stratum, rule in enumerate(rules):
+            for z1 in (0, 1):
+                for z2 in (0, 1):
+                    assert _TREATMENT[stratum, z1, z2] == rule(z1, z2), (stratum, z1, z2)
+        # every uniform draw in [0, 1) falls in one of the five strata
+        assert np.all(_STRATUM_CUMULATIVE[:, -1] >= 1.0)
 
     def test_oracle_matches_empirical_means(self):
         cfg = PanelBConfig(n=400_000, seed=10)
@@ -280,10 +325,9 @@ class TestPanelB:
                 mean_d, lift = np.zeros(n), np.zeros(n)
                 for stratum, effect in enumerate(effects):
                     d = np.zeros(n)
-                    for z_other, p_other in ((1.0, pz[other]), (0.0, 1.0 - pz[other])):
-                        zs = {j: np.full(n, float(z)), other: np.full(n, z_other)}
-                        treated = _treatment_from_stratum(zs[1], zs[2], np.full(n, stratum))
-                        d += p_other * treated
+                    for z_other, p_other in ((1, pz[other]), (0, 1.0 - pz[other])):
+                        zs = {j: z, other: z_other}
+                        d += p_other * _TREATMENT[stratum, zs[1], zs[2]]
                     mean_d += probs[:, stratum] * d
                     lift += probs[:, stratum] * d * effect
                 expected[f"mu_d{j}_{z}"] = mean_d
@@ -303,6 +347,20 @@ class TestPanelB:
         assert list(data.columns) == list(expected)
         for name, column in expected.items():
             assert data.col(name).tobytes() == column.tobytes(), name
+
+    @pytest.mark.parametrize("u_param", ["var", "sd"])
+    @pytest.mark.parametrize("n", [1, 7, 3000])
+    def test_treatment_table_draws_the_four_pass_sample(self, n, u_param):
+        """D taken from the (stratum, Z1, Z2) table and Y = Y0 + D * effect
+        give the bits of four ``np.where`` passes and the two-branch outcome."""
+        for seed in range(20):
+            beta = [(0.0, 0.0), (0.5, -0.3), (-1.0, 2.0)][seed % 3]
+            cfg = PanelBConfig(n=n, beta1=beta[0], beta2=beta[1], seed=seed, u_param=u_param)
+            data, expected = gen_panel_b(cfg), _four_pass_panel_b(cfg)
+            assert list(data.columns) == list(expected)
+            for name, column in expected.items():
+                assert data.col(name).dtype == column.dtype, (seed, name)
+                assert data.col(name).tobytes() == column.tobytes(), (seed, name)
 
     @pytest.mark.parametrize("seed, beta, u_param", PANEL_B_DRAWS)
     def test_sampler_bundle_is_the_oracle_at_the_sample(self, seed, beta, u_param):

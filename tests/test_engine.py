@@ -87,6 +87,11 @@ class TestStatistic:
 
 
 class TestSigmaHat:
+    @pytest.mark.parametrize("g", [[3.0, 1.0], []], ids=["longer", "empty"])
+    def test_length_mismatch(self, g):
+        with pytest.raises(InvalidInput, match=f"^1 design rows but {len(g)} pseudo-outcomes$"):
+            sigma_hat(design_from([[1.0, 2.0]]), g)
+
     def test_single_row_outer_product(self):
         design = design_from([[1.0, 2.0]])
         sig = sigma_hat(design, [3.0])

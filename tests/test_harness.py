@@ -107,6 +107,21 @@ class TestConfigParsing:
         with pytest.raises(InvalidConfig, match=f"^{re.escape(message)}$"):
             SimGridConfig(**{field: values})
 
+    @pytest.mark.parametrize("field", ["sample_sizes", "scenarios", "j_star_list", "methods"])
+    def test_empty_list_rejected(self, field):
+        # an empty methods list would write a CSV that holds only its header
+        message = "sample_sizes, scenarios, j_star and methods must be nonempty"
+        with pytest.raises(InvalidConfig, match=f"^{re.escape(message)}$"):
+            SimGridConfig(**{field: ()})
+
+    @pytest.mark.parametrize("panel, scenario", [
+        ("A", (0, 0, 0)), ("A", (0.5,)), ("A", 0.5), ("A", "00"), ("B", (0.0, 0.0, 0, "sd")),
+    ], ids=["triple", "single", "scalar", "string", "panel_b_four"])
+    def test_scenario_not_a_pair_rejected(self, panel, scenario):
+        message = f"scenario {scenario!r} is not a pair"
+        with pytest.raises(InvalidConfig, match=f"^{re.escape(message)}$"):
+            SimGridConfig(panel=panel, scenarios=((0.0, 0.0), scenario))
+
     @pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.cfg")), ids=lambda p: p.stem)
     def test_shipped_config_parses(self, path):
         keys = TEST_KEYS if path.stem == "test_me" else SIM_KEYS
@@ -274,6 +289,19 @@ class TestRunGrid:
         assert len(run_grid(cfg).rows) == 2 * 3 * 2 * 3
         assert len(calls) == 2 * 3 * 3
         assert calls.count(250) == calls.count(400) == 3 * 3
+
+    def test_scenario_typing_does_not_move_seeds(self, tmp_path):
+        # a seed reads repr(scenario): ints and numpy floats are taken as floats first
+        texts = []
+        for scenario in ((0.0, 0.0), (0, 0), (np.float64(0.0), False)):
+            cfg = tiny_config(scenarios=(scenario,), replications=40)
+            assert cfg.scenarios == ((0.0, 0.0),)
+            assert all(type(v) is float for v in cfg.scenarios[0])
+            out = tmp_path / f"{len(texts)}.csv"
+            run_grid(cfg).to_csv(str(out))
+            texts.append(out.read_bytes())
+        assert texts[1] == texts[0] and texts[2] == texts[0]
+        assert texts[0].splitlines()[1].startswith(b"A,250,0.0,0.0,")
 
     def test_csv_output(self, tmp_path):
         table = run_grid(tiny_config(replications=2))
@@ -619,6 +647,13 @@ class TestCli:
 
     def test_missing_data_file_exits_2(self, capsys, test_config_file):
         assert main(["test", "--data", "/no/such.csv", "--config", test_config_file]) == 2
+
+    @pytest.mark.parametrize("command", ["test", "simulate"])
+    def test_unreadable_config_file_exits_2(self, capsys, tmp_path, panel_a_csv, command):
+        missing = tmp_path / "no_such.cfg"
+        argv = {"test": ["--data", panel_a_csv], "simulate": ["--out", str(tmp_path / "o.csv")]}
+        assert main([command, "--config", str(missing), *argv[command]]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read {str(missing)!r}: ")
 
     def test_byte_order_mark_is_read_past(self, capsys, tmp_path, panel_a_csv,
                                           test_config_file):

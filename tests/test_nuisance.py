@@ -492,11 +492,8 @@ class TestMultiTargetCall:
         fold_of = make_folds(data.n, 4, RngStream(7))
         together = nuisance._Folds(features, fold_of, 4)
         alone = nuisance._Folds(features, fold_of, 4)
-        def rows(folds):
-            return folds.everyone if stratum is None else stratum
-
-        joint = together.predict(rows(together), *targets)
-        apart = [alone.predict(rows(alone), target)[0] for target in targets]
+        joint = together.predict(stratum, *targets)
+        apart = [alone.predict(stratum, target)[0] for target in targets]
         assert [v.tobytes() for v in joint] == [v.tobytes() for v in apart]
         assert together.nonconverged == alone.nonconverged == nonconverged
 
@@ -510,7 +507,7 @@ class TestStratumSetup:
         data, K = gen_panel_a(PanelAConfig(n=1003, seed=37)), 5
         fold_of = make_folds(data.n, K, RngStream(7))
         folds = nuisance._Folds(with_intercept(data.covariate_matrix(("X1", "X2"))), fold_of, K)
-        in_stratum = folds.everyone if stratum == "every_row" else data.col("S") == 1.0
+        in_stratum = None if stratum == "every_row" else data.col("S") == 1.0
         rows, fit = folds.training(in_stratum, "S")
         own = fold_of[rows]
         assert np.array_equal(fit.counts, own.size - np.bincount(own, minlength=K))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
@@ -36,6 +38,12 @@ class TestSymEigen:
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidInput):
             sym_eigen([[np.nan, 0.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (0, 0), (2, 2, 2)])
+    def test_non_square_rejected(self, shape):
+        message = f"^expected a square matrix, got shape {re.escape(str(shape))}$"
+        with pytest.raises(InvalidInput, match=message):
+            sym_eigen(np.zeros(shape))
 
     def test_reconstruction_and_orthogonality_random(self):
         rng = np.random.default_rng(42)

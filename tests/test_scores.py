@@ -45,6 +45,11 @@ class TestSpecValidation:
         with pytest.raises(InvalidInput):
             ScoreSpec(clip_propensity=0.7)
 
+    @pytest.mark.parametrize("mode", ["bootstrap", "Oracle", ""])
+    def test_unknown_nuisance_mode(self, mode):
+        with pytest.raises(InvalidInput, match=f"^unknown nuisance_mode {re.escape(repr(mode))}$"):
+            ScoreSpec(nuisance_mode=mode)
+
     def test_oracle_mode_needs_bundle(self):
         with pytest.raises(InvalidInput):
             ScoreSpec(nuisance_mode="oracle")
@@ -347,6 +352,22 @@ class TestIvScores:
         manual = (y - x1) / 0.5
         assert np.allclose(g[z1 == 1.0], manual[z1 == 1.0])
 
+    @pytest.mark.parametrize("j, key", [(1, "pz1"), (1, "mu_y1_0"), (2, "mu_d2_1")])
+    def test_missing_bundle_key_named(self, j, key):
+        data = self._perfect_compliance_data(20, 37)
+        bundle = self._perfect_compliance_bundle(data)
+        del bundle[key]
+        spec = ScoreSpec(kind="iv_compatibility")
+        with pytest.raises(SchemaError, match=f"^nuisance bundle is missing '{key}'$"):
+            g_iv_component(data, bundle, spec, j)
+
+    @pytest.mark.parametrize("j", [0, 3])
+    def test_instrument_index_refused(self, j):
+        data = self._perfect_compliance_data(20, 38)
+        bundle = self._perfect_compliance_bundle(data)
+        with pytest.raises(InvalidInput, match="^instrument index must be 1 or 2$"):
+            g_iv_component(data, bundle, ScoreSpec(kind="iv_compatibility"), j)
+
     def test_identical_bundles_and_instruments_cancel(self):
         data = self._perfect_compliance_data(100, 35)
         spec = ScoreSpec(kind="iv_compatibility")
@@ -504,6 +525,20 @@ class TestOrthogonalityDiagnostic:
         spec = ScoreSpec(kind="mean_exchangeability", arm=0)
         d = orthogonality_diagnostic(data, spec, truth, dict(truth), self.T_GRID)
         assert np.allclose(d, d[0], atol=1e-12)
+
+    @pytest.mark.parametrize("change", ["drop", "add"])
+    def test_bundles_with_different_keys_refused(self, change):
+        cfg = PanelAConfig(n=200, seed=45)
+        data = gen_panel_a(cfg)
+        truth = oracle_nuisances_panel_a(cfg, a=0)(data.covariate_matrix(("X1", "X2")))
+        perturbation = dict(truth)
+        if change == "drop":
+            del perturbation["mu_s0"]
+        else:
+            perturbation["pz1"] = truth["pi_s1"]
+        spec = ScoreSpec(kind="mean_exchangeability", arm=0)
+        with pytest.raises(InvalidInput, match="^bundles carry different nuisance keys$"):
+            orthogonality_diagnostic(data, spec, truth, perturbation, self.T_GRID)
 
     def test_me_quadratic_scaling(self):
         cfg = PanelAConfig(n=100_000, seed=21)
