@@ -206,13 +206,17 @@ _STRATUM_CUMULATIVE = np.cumsum(_STRATUM_TABLE, axis=1)
 _TREATMENT = np.array([[[0, 0], [0, 0]], [[0, 0], [1, 1]], [[0, 1], [0, 1]],
                        [[0, 0], [0, 1]], [[0, 1], [1, 1]]], dtype=float)
 
+# E[U], read by the draw's U and the oracle's E[Y0 | X] = 1 + X1 + X2 + E[U]
+_U_MEAN = -0.3
 
-def _sco2_effect(x1, x2, beta1, beta2):
-    """Treatment effect in the SCO2 stratum; other complier strata get -2*X1.
+
+def _sco2_effect(x1, x2, eff_lin, beta1, beta2):
+    """Treatment effect in the SCO2 stratum: ``eff_lin``, every other stratum's
+    -2*X1 effect, plus the beta terms.
 
     As in the Panel A mean, a term with a zero coefficient is left out.
     """
-    effect = -2.0 * x1
+    effect = eff_lin
     if beta1:
         effect = effect + beta1 * (np.cos(np.pi * x1) + np.cos(np.pi * x2))
     if beta2:
@@ -224,32 +228,27 @@ def _panel_b_laws(x1, x2, cfg: PanelBConfig) -> tuple:
     """(x1, x2) and Panel B's conditional laws there, which the sampler draws
     from and the oracle is built from: P(Z1=1|X), P(Z2=1|X), each row's
     (X1 > 0, X2 > 0) cell, which picks its row of ``_STRATUM_TABLE``, and
-    the SCO2 effect."""
+    the treatment effect of every stratum but SCO2, then of SCO2."""
+    eff_lin = -2.0 * x1
     return (x1, x2, expit(0.5 + 0.5 * x1 + 0.5 * x2), expit(0.5 + 0.5 * x1 - 0.5 * x2),
-            2 * (x1 > 0) + (x2 > 0), _sco2_effect(x1, x2, cfg.beta1, cfg.beta2))
+            2 * (x1 > 0) + (x2 > 0), eff_lin, _sco2_effect(x1, x2, eff_lin, cfg.beta1, cfg.beta2))
 
 
 def _panel_b_bundle(laws: tuple) -> dict:
     """The IV nuisances from the laws at their (x1, x2); see ``oracle_nuisances_panel_b``."""
-    x1, x2, pz1, pz2, cell, eff_sco2 = laws
-    _, p_sco1, p_sco2, p_rco, p_eco = np.take(_STRATUM_TABLE, cell, axis=0).T
-    base = 1.0 + x1 + x2 - 0.3
-    eff_lin = -2.0 * x1
+    x1, x2, pz1, pz2, cell, eff_lin, eff_sco2 = laws
+    strata = np.take(_STRATUM_TABLE, cell, axis=0).T
+    base = 1.0 + x1 + x2 + _U_MEAN
     bundle = {}
     for j, own, other in ((1, pz1, pz2), (2, pz2, pz1)):
         bundle[f"pz{j}"] = own
         for z in (0, 1):
-            d_own = float(z)
-            d_sco1, d_sco2 = (d_own, other) if j == 1 else (other, d_own)
-            d_rco = d_own * other
-            d_eco = d_own + (1.0 - d_own) * other
-            bundle[f"mu_d{j}_{z}"] = (
-                p_sco1 * d_sco1 + p_sco2 * d_sco2 + p_rco * d_rco + p_eco * d_eco
-            )
-            bundle[f"mu_y{j}_{z}"] = base + (
-                (p_sco1 * d_sco1 + p_rco * d_rco + p_eco * d_eco) * eff_lin
-                + p_sco2 * d_sco2 * eff_sco2
-            )
+            # each stratum's uptake at other = 0, plus P(other = 1 | X) times its rise at 1
+            lo, hi = (_TREATMENT[:, z, :] if j == 1 else _TREATMENT[:, :, z]).T[:, :, None]
+            treated = strata * (lo + (hi - lo) * other)
+            ant, sco1, sco2, rco, eco = treated
+            bundle[f"mu_d{j}_{z}"] = sum(treated)
+            bundle[f"mu_y{j}_{z}"] = base + ((ant + sco1 + rco + eco) * eff_lin + sco2 * eff_sco2)
     return bundle
 
 
@@ -260,10 +259,10 @@ def _draw_panel_b(cfg: PanelBConfig) -> tuple[Dataset, tuple]:
     x1 = 2.0 * rng.uniform(n) - 1.0
     x2 = 2.0 * rng.uniform(n) - 1.0
     laws = _panel_b_laws(x1, x2, cfg)
-    _, _, pz1, pz2, cell, eff_sco2 = laws
+    _, _, pz1, pz2, cell, eff_lin, eff_sco2 = laws
     z1 = (rng.uniform(n) < pz1).astype(int)
     z2 = (rng.uniform(n) < pz2).astype(int)
-    u = -0.3 + (np.sqrt(0.3) if cfg.u_param == "var" else 0.3) * rng.normal(n)
+    u = _U_MEAN + (np.sqrt(0.3) if cfg.u_param == "var" else 0.3) * rng.normal(n)
     # a row's stratum counts the cumulative probabilities of its cell that its draw reaches
     draw = rng.uniform(n)
     cumulative = np.take(_STRATUM_CUMULATIVE, cell, axis=0)
@@ -271,7 +270,7 @@ def _draw_panel_b(cfg: PanelBConfig) -> tuple[Dataset, tuple]:
     d = _TREATMENT[stratum, z1, z2]
     y0 = 1.0 + x1 + x2 + u + rng.normal(n)
     # D is 0 in ANT, so its effect is never read
-    y = y0 + d * np.where(stratum == 2, eff_sco2, -2.0 * x1)
+    y = y0 + d * np.where(stratum == 2, eff_sco2, eff_lin)
     return Dataset(columns={"X1": x1, "X2": x2, "Z1": z1, "Z2": z2, "D": d, "Y": y}), laws
 
 
@@ -292,13 +291,13 @@ def oracle_nuisances_panel_b(cfg: PanelBConfig) -> Callable[[np.ndarray], dict]:
 
     All conditional means are closed-form: stratum membership is
     independent of U given X (common U-term cancels in the softmax), and
-    E[U] = -0.3.  The returned function maps an n x 2 covariate matrix to
-    a dict of n-vectors; keys per instrument j in {1, 2}: pz{j} =
-    P(Z_j=1 | X), mu_d{j}_{z} = E[D | Z_j=z, X], mu_y{j}_{z} =
+    E[U] is ``_U_MEAN``.  The returned function maps an n x 2 covariate
+    matrix to a dict of n-vectors; keys per instrument j in {1, 2}: pz{j}
+    = P(Z_j=1 | X), mu_d{j}_{z} = E[D | Z_j=z, X], mu_y{j}_{z} =
     E[Y | Z_j=z, X].  Given Z_j = z, the other instrument is 1 with its
-    own propensity, so each stratum treats with probability z (own strict
-    compliers), that propensity (the other's strict compliers), z times
-    it (RCO) or z + (1 - z) times it (ECO).
+    own propensity, so each stratum's uptake, read from ``_TREATMENT``,
+    is its entry with the other instrument at 0 plus that propensity
+    times its rise at 1.
     """
     return lambda x: _panel_b_bundle(_panel_b_laws(x[:, 0], x[:, 1], cfg))
 

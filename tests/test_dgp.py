@@ -193,7 +193,7 @@ class TestAllTermsReference:
         x1, x2 = np.random.default_rng(7).uniform(-1, 1, size=(2, 2000))
         cosines = np.cos(np.pi * x1) + np.cos(np.pi * x2)
         expected = -2.0 * x1 + beta[0] * cosines + beta[1] * (x1 + x2)
-        assert np.array_equal(_sco2_effect(x1, x2, *beta), expected)
+        assert np.array_equal(_sco2_effect(x1, x2, -2.0 * x1, *beta), expected)
 
 
 PANEL_B_DRAWS = [
@@ -215,7 +215,7 @@ def _four_pass_panel_b(cfg):
     rng, n = RngStream(cfg.seed), cfg.n
     x1 = 2.0 * rng.uniform(n) - 1.0
     x2 = 2.0 * rng.uniform(n) - 1.0
-    _, _, pz1, pz2, cell, eff_sco2 = _panel_b_laws(x1, x2, cfg)
+    _, _, pz1, pz2, cell, _, eff_sco2 = _panel_b_laws(x1, x2, cfg)
     z1 = (rng.uniform(n) < pz1).astype(float)
     z2 = (rng.uniform(n) < pz2).astype(float)
     u = -0.3 + (np.sqrt(0.3) if cfg.u_param == "var" else 0.3) * rng.normal(n)
@@ -230,6 +230,34 @@ def _four_pass_panel_b(cfg):
     effect = np.where(stratum == 0, 0.0, np.where(stratum == 2, eff_sco2, -2.0 * x1))
     y = d * (y0 + effect) + (1.0 - d) * y0
     return {"X1": x1, "X2": x2, "Z1": z1, "Z2": z2, "D": d, "Y": y}
+
+
+def _five_rule_bundle(x, cfg):
+    """Panel B's oracle with each stratum's uptake given Z_j = z written out
+    by hand: z for Z_j's own strict compliers, the other instrument's
+    propensity for its strict compliers, their product for RCO and
+    z + (1 - z) times it for ECO."""
+    x1, x2 = x[:, 0], x[:, 1]
+    _, _, pz1, pz2, cell, _, eff_sco2 = _panel_b_laws(x1, x2, cfg)
+    _, p_sco1, p_sco2, p_rco, p_eco = np.take(_STRATUM_TABLE, cell, axis=0).T
+    base = 1.0 + x1 + x2 - 0.3
+    eff_lin = -2.0 * x1
+    bundle = {}
+    for j, own, other in ((1, pz1, pz2), (2, pz2, pz1)):
+        bundle[f"pz{j}"] = own
+        for z in (0, 1):
+            d_own = float(z)
+            d_sco1, d_sco2 = (d_own, other) if j == 1 else (other, d_own)
+            d_rco = d_own * other
+            d_eco = d_own + (1.0 - d_own) * other
+            bundle[f"mu_d{j}_{z}"] = (
+                p_sco1 * d_sco1 + p_sco2 * d_sco2 + p_rco * d_rco + p_eco * d_eco
+            )
+            bundle[f"mu_y{j}_{z}"] = base + (
+                (p_sco1 * d_sco1 + p_rco * d_rco + p_eco * d_eco) * eff_lin
+                + p_sco2 * d_sco2 * eff_sco2
+            )
+    return bundle
 
 
 class TestPanelB:
@@ -317,7 +345,7 @@ class TestPanelB:
         n = len(x1)
         probs = _stratum_probs(x1, x2)
         pz = {1: expit(0.5 + 0.5 * x1 + 0.5 * x2), 2: expit(0.5 + 0.5 * x1 - 0.5 * x2)}
-        sco2 = _sco2_effect(x1, x2, *beta)
+        sco2 = _sco2_effect(x1, x2, -2.0 * x1, *beta)
         effects = [np.zeros(n), -2.0 * x1, sco2, -2.0 * x1, -2.0 * x1]  # ANT .. ECO
         expected = {"pz1": pz[1], "pz2": pz[2]}
         for j, other in ((1, 2), (2, 1)):
@@ -376,6 +404,24 @@ class TestPanelB:
         assert list(bundle) == list(oracle)
         for key, values in oracle.items():
             assert bundle[key].tobytes() == values.tobytes(), key
+
+    @pytest.mark.parametrize("u_param", ["var", "sd"])
+    @pytest.mark.parametrize("beta", [(0.0, 0.0), (0.5, -0.3), (-1.0, 2.0)])
+    @pytest.mark.parametrize("n", [1, 7, 3000])
+    def test_oracle_matches_the_five_rule_bundle(self, n, beta, u_param):
+        """Uptake read from ``_TREATMENT`` gives the bits of the five rules
+        written out by hand, in ``sample_panel_b``'s bundle and in the
+        oracle at random X."""
+        cfg = PanelBConfig(n=n, beta1=beta[0], beta2=beta[1], seed=n, u_param=u_param)
+        data, bundle = sample_panel_b(cfg)
+        x = np.random.default_rng(n).uniform(-1, 1, size=(n, 2))
+        for got, expected in (
+            (bundle, _five_rule_bundle(data.covariate_matrix(("X1", "X2")), cfg)),
+            (oracle_nuisances_panel_b(cfg)(x), _five_rule_bundle(x, cfg)),
+        ):
+            assert list(got) == list(expected)
+            for key, values in expected.items():
+                assert got[key].tobytes() == values.tobytes(), key
 
     @pytest.mark.parametrize("n", [10, 3000, 100_000])
     def test_stratum_table_rows_are_the_per_row_softmax(self, n):
