@@ -206,13 +206,11 @@ _STRATUM_CUMULATIVE = np.cumsum(_STRATUM_TABLE, axis=1)
 _TREATMENT = np.array([[[0, 0], [0, 0]], [[0, 0], [1, 1]], [[0, 1], [0, 1]],
                        [[0, 0], [0, 1]], [[0, 1], [1, 1]]], dtype=float)
 
-# E[U], read by the draw's U and the oracle's E[Y0 | X] = 1 + X1 + X2 + E[U]
-_U_MEAN = -0.3
+_U_MEAN = -0.3  # E[U], read by the draw's U and the oracle's E[Y0 | X] = 1 + X1 + X2 + E[U]
 
 
 def _sco2_effect(x1, x2, eff_lin, beta1, beta2):
-    """Treatment effect in the SCO2 stratum: ``eff_lin``, every other stratum's
-    -2*X1 effect, plus the beta terms.
+    """SCO2's treatment effect: ``eff_lin``, every other stratum's -2*X1, plus the beta terms.
 
     As in the Panel A mean, a term with a zero coefficient is left out.
     """
@@ -237,17 +235,21 @@ def _panel_b_laws(x1, x2, cfg: PanelBConfig) -> tuple:
 def _panel_b_bundle(laws: tuple) -> dict:
     """The IV nuisances from the laws at their (x1, x2); see ``oracle_nuisances_panel_b``."""
     x1, x2, pz1, pz2, cell, eff_lin, eff_sco2 = laws
-    strata = np.take(_STRATUM_TABLE, cell, axis=0).T
+    strata = np.take(_STRATUM_TABLE.T, cell, axis=1)  # P(stratum | X), a stratum a row
+    treated = np.empty_like(strata)  # refilled for each (j, z), so no (5, n) temporaries
     base = 1.0 + x1 + x2 + _U_MEAN
     bundle = {}
     for j, own, other in ((1, pz1, pz2), (2, pz2, pz1)):
         bundle[f"pz{j}"] = own
         for z in (0, 1):
-            # each stratum's uptake at other = 0, plus P(other = 1 | X) times its rise at 1
-            lo, hi = (_TREATMENT[:, z, :] if j == 1 else _TREATMENT[:, :, z]).T[:, :, None]
-            treated = strata * (lo + (hi - lo) * other)
+            # P(stratum, D=1 | Z_j=z, X): uptake at other = 0 plus P(other = 1 | X) times its rise
+            by_other = _TREATMENT[:, z, :] if j == 1 else _TREATMENT[:, :, z]
+            lo, hi = by_other.T[:, :, None]
+            np.multiply(hi - lo, other, out=treated)
+            treated += lo
+            treated *= strata
             ant, sco1, sco2, rco, eco = treated
-            bundle[f"mu_d{j}_{z}"] = sum(treated)
+            bundle[f"mu_d{j}_{z}"] = ant + sco1 + sco2 + rco + eco
             bundle[f"mu_y{j}_{z}"] = base + ((ant + sco1 + rco + eco) * eff_lin + sco2 * eff_sco2)
     return bundle
 
@@ -295,9 +297,7 @@ def oracle_nuisances_panel_b(cfg: PanelBConfig) -> Callable[[np.ndarray], dict]:
     matrix to a dict of n-vectors; keys per instrument j in {1, 2}: pz{j}
     = P(Z_j=1 | X), mu_d{j}_{z} = E[D | Z_j=z, X], mu_y{j}_{z} =
     E[Y | Z_j=z, X].  Given Z_j = z, the other instrument is 1 with its
-    own propensity, so each stratum's uptake, read from ``_TREATMENT``,
-    is its entry with the other instrument at 0 plus that propensity
-    times its rise at 1.
+    own propensity, and each stratum's uptake is read from ``_TREATMENT``.
     """
     return lambda x: _panel_b_bundle(_panel_b_laws(x[:, 0], x[:, 1], cfg))
 

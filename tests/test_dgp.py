@@ -409,19 +409,15 @@ class TestPanelB:
     @pytest.mark.parametrize("beta", [(0.0, 0.0), (0.5, -0.3), (-1.0, 2.0)])
     @pytest.mark.parametrize("n", [1, 7, 3000])
     def test_oracle_matches_the_five_rule_bundle(self, n, beta, u_param):
-        """Uptake read from ``_TREATMENT`` gives the bits of the five rules
-        written out by hand, in ``sample_panel_b``'s bundle and in the
-        oracle at random X."""
+        """Uptake read from ``_TREATMENT`` gives the oracle the bits of the
+        five rules written out by hand, at random X; the sampler's bundle is
+        the oracle at the sample's X (``test_sampler_bundle_is_the_oracle_at_the_sample``)."""
         cfg = PanelBConfig(n=n, beta1=beta[0], beta2=beta[1], seed=n, u_param=u_param)
-        data, bundle = sample_panel_b(cfg)
         x = np.random.default_rng(n).uniform(-1, 1, size=(n, 2))
-        for got, expected in (
-            (bundle, _five_rule_bundle(data.covariate_matrix(("X1", "X2")), cfg)),
-            (oracle_nuisances_panel_b(cfg)(x), _five_rule_bundle(x, cfg)),
-        ):
-            assert list(got) == list(expected)
-            for key, values in expected.items():
-                assert got[key].tobytes() == values.tobytes(), key
+        got, expected = oracle_nuisances_panel_b(cfg)(x), _five_rule_bundle(x, cfg)
+        assert list(got) == list(expected)
+        for key, values in expected.items():
+            assert got[key].tobytes() == values.tobytes(), key
 
     @pytest.mark.parametrize("n", [10, 3000, 100_000])
     def test_stratum_table_rows_are_the_per_row_softmax(self, n):
